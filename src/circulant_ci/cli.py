@@ -33,10 +33,8 @@ from .zn import DomainError
 @dataclass
 class RunConfig:
     oracle_cutoff: int = 12
-    solving_set_cache_limit: int = 10_000
     workers: int = 1
     output_format: str = "text"
-    seed: int = 0  # reserved for sampled property checks
 
     def __post_init__(self) -> None:
         if self.oracle_cutoff < 2:
@@ -47,7 +45,7 @@ class RunConfig:
             raise DomainError("output_format must be json, csv or text")
 
 
-_INT_FIELDS = ("oracle_cutoff", "solving_set_cache_limit", "workers", "seed")
+_INT_FIELDS = ("oracle_cutoff", "workers")
 
 
 def _load_config_file(path: Path) -> dict:
@@ -95,8 +93,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         values["oracle_cutoff"] = args.oracle_cutoff
     if args.format is not None:
         values["output_format"] = args.format
-    if args.seed is not None:
-        values["seed"] = args.seed
     return RunConfig(**values)
 
 
@@ -345,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--oracle-cutoff", type=int, default=None, dest="oracle_cutoff")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file mirroring the run configuration")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -400,7 +395,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        engine.MATERIALIZE_LIMIT = cfg.solving_set_cache_limit
         return args.func(args, cfg)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

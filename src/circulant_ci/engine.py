@@ -19,13 +19,8 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .cayley import MODES, ConnectionSet, orbit_members
-from .keys import (
-    Key,
-    almost_zero_key,
-    key_of_set,
-    zero_key,
-)
-from .multipliers import GenuineMultiplier, as_permutation, solving_set
+from .keys import almost_zero_key, key_of_set, zero_key
+from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
     DomainError,
     InternalConsistencyError,
@@ -35,10 +30,6 @@ from .zn import (
     subgroup_of_order,
     units,
 )
-
-# Solving sets at most this large are materialized (with their permutation
-# tables) and cached per key; larger ones stream.
-MATERIALIZE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,22 +95,6 @@ class DisagreementError(RuntimeError):
         super().__init__(f"{bad} cell(s) disagree with the classification predicates")
 
 
-@lru_cache(maxsize=None)
-def _cached_permutations(
-    k: Key,
-) -> tuple[tuple[GenuineMultiplier, tuple[int, ...]], ...]:
-    return tuple((m, as_permutation(m)) for m in solving_set(k))
-
-
-def _iter_permutations(k: Key) -> Iterator[tuple[GenuineMultiplier, tuple[int, ...]]]:
-    ss = solving_set(k, materialize_limit=MATERIALIZE_LIMIT)
-    if len(ss) <= MATERIALIZE_LIMIT:
-        yield from _cached_permutations(k)
-    else:
-        for m in ss:
-            yield m, as_permutation(m)
-
-
 def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
     if s.n != t.n:
         raise DomainError("connection sets live over different Z_n")
@@ -141,9 +116,9 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     kt = key_of_set(t)
     if ks != kt:
         return IsoVerdict(False, "key-mismatch")
-    target = set(t.members)
-    for m, perm in _iter_permutations(ks):
-        if {perm[x] for x in s.members} == target:
+    for rows, image in solving_set(ks).images(s.members):
+        if image == t.members:
+            m = GenuineMultiplier(ks.factorization, rows, ks)
             return IsoVerdict(True, "multiplier-found", m)
     return IsoVerdict(False, "exhausted")
 
@@ -157,10 +132,7 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     if not s.members:
         raise DomainError("key of the empty set is undefined")
     k = key_of_set(s)
-    images = {
-        tuple(sorted(perm[x] for x in s.members))
-        for _, perm in _iter_permutations(k)
-    }
+    images = {image for _, image in solving_set(k).images(s.members)}
     out = []
     for mem in sorted(images):
         t = ConnectionSet(s.n, mem, s.mode)
@@ -180,8 +152,7 @@ def is_ci(s: ConnectionSet) -> CiVerdict:
         return CiVerdict(True)
     k = key_of_set(s)
     orbit = set(orbit_members(s.members, s.n))
-    for _, perm in _iter_permutations(k):
-        image = tuple(sorted(perm[x] for x in s.members))
+    for _, image in solving_set(k).images(s.members):
         if image not in orbit:
             witness = ConnectionSet(s.n, image, s.mode)
             if key_of_set(witness) != k:

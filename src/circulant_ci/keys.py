@@ -185,7 +185,6 @@ class ZnPartition:
         return cls(n, tuple(canon))
 
 
-@lru_cache(maxsize=None)
 def _class_ids(pi: ZnPartition) -> tuple[int, ...]:
     ids = [0] * pi.n
     for i, cls in enumerate(pi.classes):
@@ -274,7 +273,8 @@ def key_of_partition(pi: ZnPartition) -> Key:
                 break
         if ok:
             joined = k if joined is None else key_join(joined, k)
-    assert joined is not None  # the zero key refines everything
+    if joined is None:  # the zero key refines everything
+        raise InternalConsistencyError("no key refines the partition")
     if not refines(key_partition(joined), pi):
         raise InternalConsistencyError(
             "join of refining keys does not refine the partition"

@@ -21,7 +21,8 @@ from itertools import product
 from typing import Iterator
 
 from .keys import Key, _check_key_row
-from .zn import DomainError, Factorization, crt_decode, crt_encode, is_prime
+from .zn import DomainError, Factorization, InternalConsistencyError, is_prime
+from .zn import crt_decode, crt_encode
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class GenuineMultiplier(GeneralizedMultiplier):
         ):
             for a in range(t):
                 bound = p ** (a + 1 - krow[a])
-                assert bound >= 2  # k_j < j keeps the genuine range non-empty
+                if bound < 2:  # k_j < j keeps the genuine range non-empty
+                    raise InternalConsistencyError("empty genuine range")
                 if not 1 <= row[a] < bound:
                     raise DomainError(
                         f"entry {row[a]} outside the genuine range [1, {bound - 1}]"
@@ -107,7 +109,6 @@ def as_permutation(m: GeneralizedMultiplier) -> tuple[int, ...]:
     return tuple(apply_multiplier(m, x) for x in range(m.factorization.n))
 
 
-@lru_cache(maxsize=None)
 def genuine_multipliers_prime_power(
     row: tuple[int, ...], p: int, t: int
 ) -> tuple[tuple[int, ...], ...]:
@@ -139,41 +140,73 @@ def genuine_multipliers_prime_power(
     return tuple(out)
 
 
+# Per-prime image tables kept at once; each entry holds one table of size
+# p^t per genuine row of one key row.
+TABLE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _image_tables(
+    row: tuple[int, ...], p: int, t: int, n: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(genuine row, table) per genuine row of the key row; the table maps
+    residue c of Z_{p^t} to its image times the CRT idempotent of p^t in Z_n."""
+    q = p**t
+    m = n // q
+    idempotent = m * pow(m, -1, q) % n
+    tables = []
+    for genuine in genuine_multipliers_prime_power(row, p, t):
+        table = [0]
+        for i in range(t):  # digit i of c picks up the factor m_{t-i}
+            step = genuine[t - 1 - i] * p**i
+            table = [y + d * step for d in range(p) for y in table]
+        tables.append((genuine, tuple(y % q * idempotent % n for y in table)))
+    return tuple(tables)
+
+
 class SolvingSet:
     """The genuine multipliers of a key, deterministically ordered.
 
     Iteration walks the cartesian product of the per-prime genuine rows in
-    ascending-prime, lexicographic order and is repeatable.  Small sets
-    (at most ``materialize_limit`` elements) are materialized up front since
-    sweeps iterate them many times; larger ones stream.
+    ascending-prime, lexicographic order and is repeatable.  ``images`` maps
+    a member tuple through the same product in the same order by per-prime
+    image tables, without building any permutation of Z_n.
     """
 
-    def __init__(self, key: Key, materialize_limit: int = 10_000):
+    def __init__(self, key: Key):
         self.key = key
         f = key.factorization
-        self._per_prime = tuple(
-            genuine_multipliers_prime_power(row, p, t)
-            for (p, t), row in zip(f.parts, key.rows)
+        self._tables = tuple(
+            _image_tables(row, p, t, f.n) for (p, t), row in zip(f.parts, key.rows)
         )
-        self._size = math.prod(len(rows) for rows in self._per_prime)
-        self._materialized: tuple[GenuineMultiplier, ...] | None = None
-        if self._size <= materialize_limit:
-            self._materialized = tuple(self._generate())
-
-    def _generate(self) -> Iterator[GenuineMultiplier]:
-        f = self.key.factorization
-        for rows in product(*self._per_prime):
-            yield GenuineMultiplier(f, rows, self.key)
 
     def __len__(self) -> int:
-        return self._size
+        return math.prod(map(len, self._tables))
 
     def __iter__(self) -> Iterator[GenuineMultiplier]:
-        if self._materialized is not None:
-            return iter(self._materialized)
-        return self._generate()
+        for combo in product(*self._tables):
+            rows = tuple(row for row, _ in combo)
+            yield GenuineMultiplier(self.key.factorization, rows, self.key)
+
+    def images(
+        self, members: tuple[int, ...]
+    ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+        """(rows, sorted image of members) per multiplier, in iteration order.
+
+        The image of x is the sum of table_q[x mod q] over the prime powers
+        q of n, reduced mod n.
+        """
+        n = self.key.factorization.n
+        per_prime = [
+            [(row, [table[x % len(table)] for x in members]) for row, table in tables]
+            for tables in self._tables
+        ]
+        for combo in product(*per_prime):
+            rows = tuple(row for row, _ in combo)
+            parts = zip(*(part for _, part in combo))
+            yield rows, tuple(sorted(sum(ys) % n for ys in parts))
 
 
-def solving_set(k: Key, materialize_limit: int = 10_000) -> SolvingSet:
+def solving_set(k: Key) -> SolvingSet:
     """P(k): every permutation the criterion needs for sets with key k."""
-    return SolvingSet(k, materialize_limit)
+    return SolvingSet(k)

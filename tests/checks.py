@@ -60,7 +60,9 @@ def check_key_round_trip(n_max: int = 72) -> int:
 
 def check_multiplier_action(n_max: int = 72) -> int:
     """Every solving-set permutation is a bijection carrying key-partition
-    classes onto key-partition classes."""
+    classes onto key-partition classes, and SolvingSet.images yields the
+    multiplier rows and the class images of the reference permutation
+    (as_permutation) in iteration order."""
     checked = 0
     for n in range(2, n_max + 1):
         for k in enumerate_keys(factorize(n)):
@@ -69,11 +71,15 @@ def check_multiplier_action(n_max: int = 72) -> int:
             for cls in pi.classes:
                 for x in cls:
                     class_of[x] = cls
-            for m in solving_set(k):
+            ss = solving_set(k)
+            per_class = [ss.images(cls) for cls in pi.classes]
+            for m, *mapped in zip(ss, *per_class, strict=True):
                 perm = as_permutation(m)
                 assert len(set(perm)) == n, (n, k, m)
-                for cls in pi.classes:
+                for cls, (rows, fast) in zip(pi.classes, mapped):
                     image = tuple(sorted(perm[x] for x in cls))
+                    assert rows == m.rows, (n, k, m, rows)
+                    assert fast == image, (n, k, m, cls)
                     assert image == class_of[perm[cls[0]]], (n, k, m, cls)
                 checked += 1
     return checked

@@ -155,15 +155,21 @@ def test_env_workers_override(capsys, monkeypatch):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("cutoff=9\n")
-    code, _, err = run(capsys, "--config", str(cfg), "key", "8", "1")
-    assert code == 2 and "unknown config key" in err
+    # seed and solving_set_cache_limit were removed; they must not be accepted
+    for line in ("cutoff=9", "seed=1", "solving_set_cache_limit=5"):
+        cfg.write_text(line + "\n")
+        code, _, err = run(capsys, "--config", str(cfg), "key", "8", "1")
+        assert code == 2 and "unknown config key" in err, line
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["iso", "8", "1,2,5"])  # missing the second set
-    assert exc.value.code == 2
+    for argv in (
+        ["iso", "8", "1,2,5"],  # missing the second set
+        ["--seed", "1", "key", "8", "1"],  # the removed --seed flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_disagreement_dump(tmp_path, capsys):

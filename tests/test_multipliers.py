@@ -135,15 +135,6 @@ def test_key01_solving_set_action():
     assert perms == expected
 
 
-def test_streaming_solving_set_matches_materialized():
-    k = Key(factorize(8), ((0, 0, 1),))
-    eager = [m.rows for m in solving_set(k)]
-    lazy = solving_set(k, materialize_limit=1)
-    assert len(lazy) == len(eager)
-    assert [m.rows for m in lazy] == eager
-    assert [m.rows for m in lazy] == eager  # streaming is re-iterable too
-
-
 def test_order_preservation():
     for q in (4, 8, 16, 9, 27, 25, 49):
         f = factorize(q)
