@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .cayley import MODES, ConnectionSet, orbit_members
-from .keys import almost_zero_key, key_of_set, zero_key
+from .keys import Key, almost_zero_key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
     DomainError,
@@ -150,7 +150,11 @@ def is_ci(s: ConnectionSet) -> CiVerdict:
     """
     if not s.members:
         return CiVerdict(True)
-    k = key_of_set(s)
+    return _is_ci(s, key_of_set(s))
+
+
+def _is_ci(s: ConnectionSet, k: Key) -> CiVerdict:
+    # is_ci for a non-empty S whose key k is already known
     orbit = set(orbit_members(s.members, s.n))
     for _, image in solving_set(k).images(s.members):
         if image not in orbit:
@@ -171,10 +175,15 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
     """
     if not s.members:
         return CiVerdict(True)
+    return _is_ci_reduced(s, key_of_set(s))
+
+
+def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
+    # is_ci_reduced for a non-empty S whose key k is already known
     sub = generated_subgroup(s.members, s.n)
     n_sub = len(sub)
     if n_sub == s.n:
-        return is_ci(s)
+        return _is_ci(s, k)
     g = s.n // n_sub
     reduced = ConnectionSet(n_sub, tuple(sorted(x // g for x in s.members)), s.mode)
     verdict = is_ci(reduced)
@@ -183,7 +192,7 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
     lifted = ConnectionSet(
         s.n, tuple(sorted(x * g for x in verdict.witness.members)), s.mode
     )
-    if key_of_set(lifted) != key_of_set(s):
+    if key_of_set(lifted) != k:
         raise InternalConsistencyError("lifted witness changed the key")
     if lifted.members in orbit_members(s.members, s.n):
         raise InternalConsistencyError("lifted witness fell inside the unit orbit")
@@ -198,8 +207,12 @@ def zero_key_fast_path(s: ConnectionSet) -> CiVerdict | None:
     """
     if not s.members:
         raise DomainError("key of the empty set is undefined")
-    f = factorize(s.n)
-    k = key_of_set(s)
+    return _zero_key_verdict(s, key_of_set(s))
+
+
+def _zero_key_verdict(s: ConnectionSet, k: Key) -> CiVerdict | None:
+    # zero_key_fast_path for a non-empty S whose key k is already known
+    f = k.factorization
     if k == zero_key(f):
         return CiVerdict(True, None, "zero-key")
     if s.n % 8 == 4 and k == almost_zero_key(f):
@@ -265,16 +278,18 @@ def _coset_fast_path(s: ConnectionSet) -> CiVerdict | None:
 
 def decide_ci(s: ConnectionSet) -> CiVerdict:
     """CI decision pipeline: zero-key shortcut, coset shapes, then the
-    reduction to the generated subgroup with a full scan."""
+    reduction to the generated subgroup with a full scan.  The key of S is
+    computed once and shared by every stage."""
     if not s.members:
         return CiVerdict(True)
-    verdict = zero_key_fast_path(s)
+    k = key_of_set(s)
+    verdict = _zero_key_verdict(s, k)
     if verdict is not None:
         return verdict
     verdict = _coset_fast_path(s)
     if verdict is not None:
         return verdict
-    return is_ci_reduced(s)
+    return _is_ci_reduced(s, k)
 
 
 def _check_mode(mode: str) -> None:
@@ -336,7 +351,12 @@ def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     )
 
 
-@lru_cache(maxsize=None)
+# Single-valency sweep reports kept at once; is_m_group reuses the reports
+# for valencies 1..m of one n, so this needs to exceed the largest m swept.
+REPORT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=REPORT_CACHE_SIZE)
 def _m_property_cached(n: int, m: int, mode: str) -> ClassificationReport:
     return m_property(n, m, mode)
 

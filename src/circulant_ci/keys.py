@@ -10,6 +10,18 @@ The key of an arbitrary partition is the join of all keys whose partition
 refines it (the coarsest refining key partition).  The key of a subset S is
 the key of the two-class partition {S, complement}; this is the invariant
 driving the circulant isomorphism criterion.
+
+Neither is computed by walking the lattice.  The refining keys form a
+down-set (a smaller key refines more finely) closed under join (the class
+of x under the join of k and k' is x + P_{k_a} + P_{k'_a}, reached by steps
+of either), so the join of all of them is itself refining, and its entry
+(p, j) is at least v exactly when the smallest key with v at positions
+j..t of row p refines the partition.  That key moves only the x whose
+p-part has order exponent a >= j, and moves them within x + P_v, where
+P_v, the subgroup of order p^v, is generated by n / p^v.  So the entry is
+the largest v < j passing a stabilizer test: x + n / p^v lies in the class
+of x for every such x.  The test weakens as v falls and as j rises, so each
+row is found by stepping v up while it holds, and no key partition is built.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .zn import (
     DomainError,
@@ -84,7 +96,12 @@ def maximal_key(f: Factorization) -> Key:
     return Key(f, tuple(tuple(range(t)) for _, t in f.parts))
 
 
-@lru_cache(maxsize=None)
+# Key-row lists, key lattices and key partitions kept at once (each); the
+# key of a set or partition uses none of them.
+KEY_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def _prime_power_key_rows(t: int) -> tuple[tuple[int, ...], ...]:
     rows: list[tuple[int, ...]] = []
 
@@ -109,7 +126,7 @@ def enumerate_keys_prime_power(p: int, t: int) -> tuple[tuple[int, ...], ...]:
     return _prime_power_key_rows(t)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def enumerate_keys(f: Factorization) -> tuple[Key, ...]:
     """The whole key lattice, lexicographic in ascending-prime row order."""
     per_prime = [_prime_power_key_rows(t) for _, t in f.parts]
@@ -216,7 +233,7 @@ def key_partition_prime(row: tuple[int, ...], p: int, t: int) -> ZnPartition:
     return ZnPartition.from_classes(q, classes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=KEY_CACHE_SIZE)
 def key_partition(k: Key) -> ZnPartition:
     """The partition of Z_n induced by a key: CRT products of prime classes."""
     f = k.factorization
@@ -253,33 +270,46 @@ def refines(fine: ZnPartition, coarse: ZnPartition) -> bool:
     return True
 
 
-def key_of_partition(pi: ZnPartition) -> Key:
-    """The coarsest key whose partition refines pi.
+def _stabilizer_key(n: int, tested: Sequence[int], cid: Sequence[int]) -> Key:
+    """The coarsest key whose partition refines the partition of Z_n with
+    class ids ``cid``, by the stabilizer test on the residues ``tested``.
 
-    Computed as the join of every refining key (the zero key always
-    refines, so the join exists); the result is itself checked to refine
-    pi, turning the coarsest-refinement theory into a runtime assertion.
+    ``tested`` is all of Z_n, or, for a two-class partition, one class:
+    a translation that keeps that class inside itself on a set of residues
+    it permutes keeps the other class inside itself too.  The result is
+    checked against its definition: for every tested x and prime p with
+    entry k > 0 at the order exponent of x, x + n / p^k stays in the class
+    of x, which is exactly "the key partition refines the partition".
     """
-    f = factorize(pi.n)
-    cid = _class_ids(pi)
-    joined: Key | None = None
-    for k in enumerate_keys(f):
-        sigma = key_partition(k)
-        ok = True
-        for cls in sigma.classes:
-            first = cid[cls[0]]
-            if any(cid[x] != first for x in cls):
-                ok = False
-                break
-        if ok:
-            joined = k if joined is None else key_join(joined, k)
-    if joined is None:  # the zero key refines everything
-        raise InternalConsistencyError("no key refines the partition")
-    if not refines(key_partition(joined), pi):
-        raise InternalConsistencyError(
-            "join of refining keys does not refine the partition"
-        )
-    return joined
+    f = factorize(n)
+    rows = []
+    for p, t in f.parts:
+        q = p**t
+        exponents = [order_exponent(x % q, p, t) for x in tested]
+        row = [0] * t
+        v = 0
+        for j in range(2, t + 1):
+            moved = [x for x, a in zip(tested, exponents) if a >= j]
+            while v + 1 < j:
+                step = n // p ** (v + 1)
+                if any(cid[(x + step) % n] != cid[x] for x in moved):
+                    break
+                v += 1
+            row[j - 1] = v
+        for x, a in zip(tested, exponents):
+            if a and row[a - 1] and cid[(x + n // p ** row[a - 1]) % n] != cid[x]:
+                raise InternalConsistencyError(
+                    "key partition does not refine the partition"
+                )
+        rows.append(tuple(row))
+    return Key(f, tuple(rows))
+
+
+def key_of_partition(pi: ZnPartition) -> Key:
+    """The coarsest key whose partition refines pi: the join of every
+    refining key, found entry by entry by the stabilizer test on all of Z_n
+    (see the module docstring)."""
+    return _stabilizer_key(pi.n, range(pi.n), _class_ids(pi))
 
 
 def key_of_set(s) -> Key:
@@ -287,12 +317,18 @@ def key_of_set(s) -> Key:
 
     Accepts anything with ``n`` and ``members`` attributes (a connection
     set); S must be non-empty and exclude 0, so the complement is never
-    empty and the partition always has exactly two classes.
+    empty and the partition always has exactly two classes.  Only the
+    members of S go through the stabilizer test.
     """
     members = tuple(s.members)
     n = s.n
     if not members:
         raise DomainError("key of the empty set is undefined")
-    inside = set(members)
-    complement = tuple(x for x in range(n) if x not in inside)
-    return key_of_partition(ZnPartition.from_classes(n, [members, complement]))
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
+    inside = bytearray(n)
+    for x in members:
+        if not 0 <= x < n:
+            raise DomainError(f"{x} is not a canonical residue mod {n}")
+        inside[x] = 1
+    return _stabilizer_key(n, members, inside)

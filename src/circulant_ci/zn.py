@@ -74,7 +74,11 @@ class Factorization:
         return f"{self.n} = {body}"
 
 
-@lru_cache(maxsize=None)
+# Moduli whose factorization and units are kept at once.
+MODULUS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Unique ordered factorization by trial division."""
     if n < 2:
@@ -151,7 +155,7 @@ def order_exponent(x: int, p: int, t: int) -> int:
     return t - v
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def units(n: int) -> tuple[int, ...]:
     """Ascending units of Z_n; multiplication by these realizes Aut(Z_n)."""
     if n < 2:

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from circulant_ci import engine
 from circulant_ci.cayley import ConnectionSet, aut_orbit
 from circulant_ci.multipliers import as_permutation
 from circulant_ci.engine import (
@@ -25,6 +26,7 @@ from circulant_ci.engine import (
     witnesses,
     zero_key_fast_path,
 )
+from circulant_ci.keys import key_of_set
 from circulant_ci.zn import DomainError, factorize, units
 
 
@@ -133,6 +135,24 @@ def test_decide_ci_tags():
     assert decide_ci(_cs(12, (1, 5))).fast_path == "zero-key"
     v = decide_ci(_cs(8, (1, 2, 5)))
     assert not v.is_ci and v.witness.members == (2, 3, 7)
+
+
+@pytest.mark.parametrize("n, members, fast_path", [
+    (8, (1, 2, 5), "none"),  # full scan of S itself
+    (16, (2, 4, 10), "reduction"),  # decided in <S>, witness lifted back
+])
+def test_decide_ci_computes_the_key_of_s_once(monkeypatch, n, members, fast_path):
+    s = _cs(n, members)
+    calls = []
+
+    def counting_key_of_set(t):
+        calls.append(t)
+        return key_of_set(t)
+
+    monkeypatch.setattr(engine, "key_of_set", counting_key_of_set)
+    v = decide_ci(s)
+    assert not v.is_ci and v.fast_path == fast_path
+    assert calls.count(s) == 1
 
 
 def test_m_property_examples():

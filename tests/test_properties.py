@@ -1,5 +1,6 @@
-"""Standalone property suites: lattice monotonicity, key round trips,
-multiplier structure, and the reduction through the generated subgroup."""
+"""Standalone property suites: lattice monotonicity, key round trips, keys
+against the lattice join, multiplier structure, and the reduction through
+the generated subgroup."""
 
 import checks
 
@@ -10,6 +11,10 @@ def test_monotonicity_of_key_partitions():
 
 def test_key_of_partition_round_trip():
     assert checks.check_key_round_trip() > 0
+
+
+def test_key_matches_lattice_join():
+    assert checks.check_key_against_lattice() > 0
 
 
 def test_multiplier_bijectivity_and_class_action():
