@@ -6,6 +6,7 @@ import pytest
 
 from circulant_ci.cli import RunConfig, _finish_reports, main
 from circulant_ci.engine import ClassificationReport
+from record_cli_golden import GOLDEN, run_case
 
 
 def run(capsys, *argv):
@@ -182,3 +183,12 @@ def test_disagreement_dump(tmp_path, capsys):
     assert "DISAGREE" in captured.out
     assert str(path) in captured.err
     assert json.loads(path.read_text())["rows"][0]["agree"] is False
+
+
+def test_output_matches_golden_bytes(tmp_path):
+    # every command under every --format, recorded by tests/record_cli_golden.py
+    cases = json.loads(GOLDEN.read_text())
+    assert len(cases) == 75
+    for case in cases:
+        code, stdout = run_case(case["argv"], tmp_path)
+        assert (code, stdout) == (case["code"], case["stdout"]), case["argv"]
