@@ -3,8 +3,10 @@
 Exit codes: 0 success or agreement, 2 usage and parse errors,
 3 mathematical disagreement, 4 capability refusal (oracle cutoff).
 
-Machine-readable output comes from ``--format json`` or ``--format csv``;
-output is byte-identical for identical inputs and config, regardless of the
+Machine-readable output comes from ``--format json`` or ``--format csv``.
+Each command builds its JSON document, CSV rows and text lines once and
+prints them through ``_emit``, the only reader of the output format.
+Output is byte-identical for identical inputs and config, regardless of the
 worker count.
 """
 
@@ -52,8 +54,8 @@ def _load_config_file(path: Path) -> dict:
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -128,36 +130,39 @@ def _compact(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _print_csv(header: list[str], rows: list[list]) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
 def _bool_word(value: bool | None) -> str:
     if value is None:
         return "n/a"
     return "true" if value else "false"
 
 
+def _csv_row(doc: dict) -> list:
+    return [_compact(v) if isinstance(v, list) else v for v in doc.values()]
+
+
+def _emit(
+    cfg: RunConfig, doc: dict, header: list[str], rows: list[list], text: list[str]
+) -> None:
+    """Print a command's result: doc as JSON, header and rows as CSV, or the text lines."""
+    if cfg.output_format == "json":
+        print(json.dumps(doc))
+    elif cfg.output_format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        for line in text:
+            print(line)
+
+
 def cmd_key(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _make_set(args.n, args.set, "digraph", False)
     k = key_of_set(s)
-    obj = {"n": args.n, "set": list(s.members), "key": k.as_lists()}
+    doc = {"n": args.n, "set": list(s.members), "key": k.as_lists()}
     if args.partition:
-        obj["partition"] = [list(c) for c in key_partition(k).classes]
-    if cfg.output_format == "json":
-        print(json.dumps(obj))
-    elif cfg.output_format == "csv":
-        header = ["n", "set", "key"] + (["partition"] if args.partition else [])
-        row = [args.n, _compact(obj["set"]), _compact(obj["key"])]
-        if args.partition:
-            row.append(_compact(obj["partition"]))
-        _print_csv(header, [row])
-    else:
-        print(_compact(obj["key"]))
-        if args.partition:
-            print(_compact(obj["partition"]))
+        doc["partition"] = [list(c) for c in key_partition(k).classes]
+    text = [_compact(doc[name]) for name in ("key", "partition") if name in doc]
+    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
     return 0
 
 
@@ -165,7 +170,7 @@ def cmd_iso(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _make_set(args.n, args.s, args.mode, args.close_inverses)
     t = _make_set(args.n, args.t, args.mode, args.close_inverses)
     verdict = engine.muzychuk_isomorphic(s, t)
-    obj = {
+    doc = {
         "n": args.n,
         "s": list(s.members),
         "t": list(t.members),
@@ -178,38 +183,29 @@ def cmd_iso(args: argparse.Namespace, cfg: RunConfig) -> int:
             else None
         ),
     }
+    if verdict.isomorphic:
+        text = [f"isomorphic, multiplier {_compact(doc['multiplier'])}"]
+    else:
+        text = [f"not isomorphic ({verdict.reason})"]
     code = 0
     if args.oracle:
         mapping = brute_force_isomorphism(
             build_cayley(s), build_cayley(t), oracle_cutoff=cfg.oracle_cutoff
         )
-        obj["oracle"] = mapping is not None
-        obj["agree"] = obj["oracle"] == verdict.isomorphic
-        if not obj["agree"]:
+        doc["oracle"] = mapping is not None
+        doc["agree"] = doc["oracle"] == verdict.isomorphic
+        if not doc["agree"]:
             code = 3
-    if cfg.output_format == "json":
-        print(json.dumps(obj))
-    elif cfg.output_format == "csv":
-        header = list(obj)
-        _print_csv(
-            header,
-            [[_compact(v) if isinstance(v, list) else v for v in obj.values()]],
-        )
-    else:
-        if verdict.isomorphic:
-            print(f"isomorphic, multiplier {_compact(obj['multiplier'])}")
-        else:
-            print(f"not isomorphic ({verdict.reason})")
-        if args.oracle:
-            word = "isomorphic" if obj["oracle"] else "not isomorphic"
-            print(f"oracle: {word}, agree: {_bool_word(obj['agree'])}")
+        word = "isomorphic" if doc["oracle"] else "not isomorphic"
+        text.append(f"oracle: {word}, agree: {_bool_word(doc['agree'])}")
+    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
     return code
 
 
 def cmd_ci(args: argparse.Namespace, cfg: RunConfig) -> int:
     s = _make_set(args.n, args.set, args.mode, args.close_inverses)
     verdict = engine.decide_ci(s)
-    obj = {
+    doc = {
         "n": args.n,
         "set": list(s.members),
         "mode": args.mode,
@@ -217,20 +213,12 @@ def cmd_ci(args: argparse.Namespace, cfg: RunConfig) -> int:
         "fast_path": verdict.fast_path,
         "witness": list(verdict.witness.members) if verdict.witness else None,
     }
-    if cfg.output_format == "json":
-        print(json.dumps(obj))
-    elif cfg.output_format == "csv":
-        header = list(obj)
-        _print_csv(
-            header,
-            [[_compact(v) if isinstance(v, list) else v for v in obj.values()]],
-        )
+    if verdict.is_ci:
+        suffix = "" if verdict.fast_path == "none" else f" (fast path {verdict.fast_path})"
+        text = [f"CI{suffix}"]
     else:
-        if verdict.is_ci:
-            suffix = "" if verdict.fast_path == "none" else f" (fast path {verdict.fast_path})"
-            print(f"CI{suffix}")
-        else:
-            print(f"non-CI, witness {','.join(map(str, verdict.witness.members))}")
+        text = [f"non-CI, witness {','.join(map(str, doc['witness']))}"]
+    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
     return 0
 
 
@@ -249,44 +237,28 @@ def _report_obj(r: ClassificationReport) -> dict:
     }
 
 
-def _emit_reports(reports: tuple[ClassificationReport, ...], cfg: RunConfig) -> None:
-    objs = [_report_obj(r) for r in reports]
-    if cfg.output_format == "json":
-        print(json.dumps({"rows": objs}))
-    elif cfg.output_format == "csv":
-        header = ["n", "m", "mode", "property", "predicate", "agree", "counterexamples"]
-        rows = [
-            [
-                o["n"], o["m"], o["mode"],
-                _bool_word(o["property"]),
-                _bool_word(o["predicate"]),
-                _bool_word(o["agree"]),
-                _compact(o["counterexamples"]),
-            ]
-            for o in objs
-        ]
-        _print_csv(header, rows)
-    else:
-        for o in objs:
-            line = (
-                f"n={o['n']} m={o['m']} {o['mode']}: "
-                f"property {_bool_word(o['property'])}, "
-                f"predicate {_bool_word(o['predicate'])}"
-            )
-            if o["agree"] is not None:
-                line += ", agree" if o["agree"] else ", DISAGREE"
-            if o["counterexamples"]:
-                line += f", counterexamples: {len(o['counterexamples'])}"
-            print(line)
-
-
 def _finish_reports(
     reports: tuple[ClassificationReport, ...], cfg: RunConfig, dump_path: Path
 ) -> int:
-    _emit_reports(reports, cfg)
-    bad = [r for r in reports if r.agreement is False]
+    docs = [_report_obj(r) for r in reports]
+    rows, text = [], []
+    for o in docs:
+        words = [_bool_word(o[name]) for name in ("property", "predicate", "agree")]
+        rows.append([o["n"], o["m"], o["mode"], *words, _compact(o["counterexamples"])])
+        line = (
+            f"n={o['n']} m={o['m']} {o['mode']}: "
+            f"property {words[0]}, predicate {words[1]}"
+        )
+        if o["agree"] is not None:
+            line += ", agree" if o["agree"] else ", DISAGREE"
+        if o["counterexamples"]:
+            line += f", counterexamples: {len(o['counterexamples'])}"
+        text.append(line)
+    header = ["n", "m", "mode", "property", "predicate", "agree", "counterexamples"]
+    _emit(cfg, {"rows": docs}, header, rows, text)
+    bad = [o for o in docs if o["agree"] is False]
     if bad:
-        dump_path.write_text(json.dumps({"rows": [_report_obj(r) for r in bad]}, indent=2))
+        dump_path.write_text(json.dumps({"rows": bad}, indent=2))
         print(f"disagreements dumped to {dump_path}", file=sys.stderr)
         return 3
     return 0
@@ -308,28 +280,25 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
-    families = engine.witnesses(args.n, args.mode)
-    objs = [
+    families = [
         {
             "family": w.family,
             "set": list(w.connection_set.members),
             "non_ci_confirmed": True,
         }
-        for w in families
+        for w in engine.witnesses(args.n, args.mode)
     ]
-    if cfg.output_format == "json":
-        print(json.dumps({"n": args.n, "mode": args.mode, "families": objs}))
-    elif cfg.output_format == "csv":
-        _print_csv(
-            ["family", "set", "non_ci_confirmed"],
-            [[o["family"], _compact(o["set"]), "true"] for o in objs],
-        )
-    else:
-        if not objs:
-            print("no applicable witness families")
-        for o in objs:
-            members = ",".join(map(str, o["set"]))
-            print(f"{{{members}}}: non-CI confirmed ({o['family']})")
+    text = [
+        f"{{{','.join(map(str, o['set']))}}}: non-CI confirmed ({o['family']})"
+        for o in families
+    ]
+    _emit(
+        cfg,
+        {"n": args.n, "mode": args.mode, "families": families},
+        ["family", "set", "non_ci_confirmed"],
+        [[o["family"], _compact(o["set"]), "true"] for o in families],
+        text or ["no applicable witness families"],
+    )
     return 0
 
 

@@ -524,6 +524,8 @@ def verify_theorems(
     for n, m in cells:
         by_n.setdefault(n, []).append(m)
     tasks = [(n, tuple(ms), mode) for n, ms in sorted(by_n.items())]
+    # the pool forks all max_workers processes on the first submit
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_reports_for_n, tasks))

@@ -156,11 +156,16 @@ def test_env_workers_override(capsys, monkeypatch):
 
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    # seed and solving_set_cache_limit were removed; they must not be accepted
-    for line in ("cutoff=9", "seed=1", "solving_set_cache_limit=5"):
-        cfg.write_text(line + "\n")
+    for content, message in (
+        (b"cutoff=9\n", "unknown config key"),
+        # seed and solving_set_cache_limit were removed; they must not be accepted
+        (b"seed=1\n", "unknown config key"),
+        (b"solving_set_cache_limit=5\n", "unknown config key"),
+        (b"workers=\xff\n", "cannot read config file"),  # not UTF-8
+    ):
+        cfg.write_bytes(content)
         code, _, err = run(capsys, "--config", str(cfg), "key", "8", "1")
-        assert code == 2 and "unknown config key" in err, line
+        assert code == 2 and message in err, content
 
 
 def test_usage_error_exits_2():

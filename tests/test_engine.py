@@ -261,6 +261,32 @@ def test_verify_theorems_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_verify_theorems_caps_workers_at_tasks(monkeypatch):
+    # a real pool forks every requested worker up front; the fake starts none
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    # cells (4, 3) and (5, 3): one task per n, so two tasks
+    assert verify_theorems(5, 3, workers=64) == verify_theorems(5, 3)
+    assert started == [2]
+    # a single task runs in-process
+    assert verify_theorems(4, 3, workers=64) == verify_theorems(4, 3)
+    assert started == [2]
+
+
 def test_orbit_closure_of_verdicts():
     rng = random.Random(7)
     for _ in range(25):

@@ -54,3 +54,31 @@ def test_every_cache_is_bounded():
                     if name == "cache" or (name == "lru_cache" and not _finite_maxsize(dec)):
                         found.append(f"{path.name}:{dec.lineno} {node.name}")
     assert not found, found
+
+
+def _attribute_reads(node: ast.AST, attr: str, scope: str = ""):
+    """(qualified enclosing function or class, line) of every load of .attr."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _attribute_reads(child, attr, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if (
+            isinstance(child, ast.Attribute)
+            and child.attr == attr
+            and isinstance(child.ctx, ast.Load)
+        ):
+            yield scope, child.lineno
+        yield from _attribute_reads(child, attr, scope)
+
+
+def test_output_format_read_only_by_emit():
+    # one output path: each command builds its three forms and _emit picks one
+    allowed = {"_emit", "RunConfig.__post_init__"}
+    found = [
+        f"cli.py:{line} {scope}"
+        for path, tree in _trees()
+        if path.name == "cli.py"
+        for scope, line in _attribute_reads(tree, "output_format")
+        if scope not in allowed
+    ]
+    assert not found, found
