@@ -1,10 +1,15 @@
 """Connection sets, Cayley (di)graphs over Z_n, unit orbits, and a
-self-contained backtracking isomorphism oracle.
+self-contained isomorphism oracle.
 
 The oracle is deliberately independent of the key and multiplier machinery:
-it decides isomorphism by colour-refinement-pruned exhaustive search on the
-adjacency structure alone, so it can serve as ground truth for the
-criterion-based engine.  It refuses (never approximates) above its cutoff.
+it decides isomorphism on the adjacency structure alone, by
+individualization-refinement search, so it can serve as ground truth for
+the criterion-based engine.  Circulants are vertex-transitive, so colour
+refinement alone never splits their single colour class; the search first
+fixes vertex 0 (sound because translations are automorphisms), refines
+after every individualized choice, tries every candidate image, and
+arc-checks the mapping it returns.  It refuses (never approximates) above
+its cutoff.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .zn import DomainError, units
+from .zn import DomainError, InternalConsistencyError, units
 
 MODES = ("digraph", "graph")
 
@@ -95,26 +100,29 @@ def aut_orbit(s: ConnectionSet) -> tuple[tuple[ConnectionSet, ...], ConnectionSe
     return orbit, orbit[0]
 
 
-def _joint_refinement(a_out, a_in, b_out, b_in):
-    """Iterated in/out neighbour colour refinement with a shared palette.
+def _signatures(out, inn, colours):
+    return [
+        (colours[v], tuple(sorted([colours[w] for w in out[v]])),
+         tuple(sorted([colours[w] for w in inn[v]])))
+        for v in range(len(colours))
+    ]
 
-    Returns per-vertex colours for both graphs, or None as soon as the
-    colour histograms diverge (then no isomorphism exists).
+
+def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
+    """Iterated in/out neighbour colour refinement with a shared palette,
+    starting from the vertex colours `ca` of `a` and `cb` of `b`.
+
+    Each round recolours a vertex by its own colour and the sorted colours
+    of its out- and in-neighbours, numbered through one canonical palette
+    (the sorted signatures of both digraphs), so the colours only ever
+    split and depend on nothing but the coloured digraphs up to
+    isomorphism.  Returns the stable colours of both digraphs, numbered
+    0..k-1, or None as soon as the colour histograms diverge (then no
+    isomorphism carries `ca` onto `cb`).
     """
-    n = len(a_out)
-    ca = [0] * n
-    cb = [0] * n
     while True:
-        sig_a = [
-            (ca[v], tuple(sorted(ca[w] for w in a_out[v])),
-             tuple(sorted(ca[w] for w in a_in[v])))
-            for v in range(n)
-        ]
-        sig_b = [
-            (cb[v], tuple(sorted(cb[w] for w in b_out[v])),
-             tuple(sorted(cb[w] for w in b_in[v])))
-            for v in range(n)
-        ]
+        sig_a = _signatures(a_out, a_in, ca)
+        sig_b = _signatures(b_out, b_in, cb)
         if Counter(sig_a) != Counter(sig_b):
             return None
         palette = {s: i for i, s in enumerate(sorted(set(sig_a)))}
@@ -125,14 +133,43 @@ def _joint_refinement(a_out, a_in, b_out, b_in):
         ca, cb = new_a, new_b
 
 
+def _out_in(g: CayleyDigraph):
+    """Out- and in-neighbours of every vertex, as translates of S and -S;
+    DomainError when the adjacency of `g` is not the translates of S."""
+    n, members = g.n, g.connection.members
+    out = [[(v + s) % n for s in members] for v in range(n)]
+    if g.adjacency != tuple(map(frozenset, out)):
+        raise DomainError("adjacency is not the translates of the connection set")
+    return out, [[(v - s) % n for s in members] for v in range(n)]
+
+
 def brute_force_isomorphism(
     a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
 ) -> tuple[int, ...] | None:
     """An arc-preserving vertex bijection from `a` onto `b`, or None.
 
-    Plain backtracking over partial vertex maps, candidates pruned by the
-    refinement colours and checked for adjacency consistency against every
-    vertex already mapped.  Exact; no heuristics affect correctness.
+    Individualization-refinement (McKay & Piperno 2014), on the adjacency
+    alone:
+
+    1. Vertex 0 is fixed: every translation x -> x + g is an automorphism
+       of a Cayley digraph, so if any isomorphism exists, composing it
+       with a translation of `b` gives one with 0 -> 0.  Vertex 0 gets its
+       own colour in both digraphs.
+    2. The joint refinement splits the colours and prunes the branch as
+       soon as the colour histograms of `a` and `b` diverge.
+    3. While the colouring is not discrete, the first vertex v of the
+       smallest non-singleton class of `a` is paired in turn with every w
+       of `b` in the same class; v and w get a fresh colour, and the
+       search refines and recurses.
+    4. A discrete colouring pairs each vertex of `a` with the vertex of
+       `b` of the same colour.  That mapping is checked to preserve every
+       arc before it is returned.
+
+    Exact: refinement is isomorphism-invariant, so an isomorphism that
+    fixes 0 keeps its colours equal along the branch that follows it, and
+    every candidate w is tried; no branch is cut for any other reason.
+    Adjacency that is not the translates of the connection set is refused
+    with DomainError, because step 1 needs it.
     """
     if a.n != b.n:
         raise DomainError("digraphs live over different Z_n")
@@ -141,69 +178,45 @@ def brute_force_isomorphism(
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
+    a_out, a_in = _out_in(a)
+    b_out, b_in = _out_in(b)
     if a.connection.valency != b.connection.valency:
         return None
 
-    a_out = [set(x) for x in a.adjacency]
-    b_out = [set(x) for x in b.adjacency]
-    a_in = [set() for _ in range(n)]
-    b_in = [set() for _ in range(n)]
-    for v in range(n):
-        for w in a_out[v]:
-            a_in[w].add(v)
-        for w in b_out[v]:
-            b_in[w].add(v)
-
-    colours = _joint_refinement(a_out, a_in, b_out, b_in)
-    if colours is None:
-        return None
-    ca, cb = colours
-
-    mapping = [-1] * n
-    used = [False] * n
-    placed: list[int] = []
-
-    def pick() -> int:
-        # most-constrained-first: maximize already-mapped neighbours
-        best, best_score = -1, (-1, 0)
-        for v in range(n):
-            if mapping[v] >= 0:
-                continue
-            score = sum(1 for u in placed if u in a_out[v] or u in a_in[v])
-            if (score, -v) > best_score:
-                best, best_score = v, (score, -v)
-        return best
-
-    def consistent(v: int, w: int) -> bool:
-        for u in placed:
-            mu = mapping[u]
-            if (u in a_out[v]) != (mu in b_out[w]):
-                return False
-            if (u in a_in[v]) != (mu in b_in[w]):
-                return False
-        return True
-
-    def search() -> bool:
-        if len(placed) == n:
-            return True
-        v = pick()
+    def search(ca, cb):
+        refined = _joint_refinement(a_out, a_in, b_out, b_in, ca, cb)
+        if refined is None:
+            return None
+        ca, cb = refined
+        sizes = Counter(ca)
+        if len(sizes) == n:
+            vertex_of = {c: w for w, c in enumerate(cb)}
+            return tuple(vertex_of[c] for c in ca)
+        v = min(
+            (x for x in range(n) if sizes[ca[x]] > 1), key=lambda x: sizes[ca[x]]
+        )
+        fresh = len(sizes)
         for w in range(n):
-            if used[w] or cb[w] != ca[v]:
-                continue
-            if consistent(v, w):
-                mapping[v] = w
-                used[w] = True
-                placed.append(v)
-                if search():
-                    return True
-                placed.pop()
-                used[w] = False
-                mapping[v] = -1
-        return False
+            if cb[w] == ca[v]:
+                found = search(
+                    [fresh if x == v else c for x, c in enumerate(ca)],
+                    [fresh if x == w else c for x, c in enumerate(cb)],
+                )
+                if found is not None:
+                    return found
+        return None
 
-    if search():
-        return tuple(mapping)
-    return None
+    root = [1] + [0] * (n - 1)
+    mapping = search(root, root)
+    if mapping is not None and (
+        len(set(mapping)) != n
+        or any(
+            {mapping[x] for x in a.adjacency[v]} != b.adjacency[mapping[v]]
+            for v in range(n)
+        )
+    ):
+        raise InternalConsistencyError("oracle mapping does not preserve the arcs")
+    return mapping
 
 
 def brute_force_isomorphic(

@@ -324,7 +324,8 @@ def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[
     """Lexicographically least member per unit orbit, ascending."""
     _check_mode(mode)
     _check_nm(n, m)
-    tables = [tuple(u * x % n for x in range(n)) for u in units(n)]
+    # u = 1 maps every tuple to itself, so its test always passes
+    tables = [tuple(u * x % n for x in range(n)) for u in units(n) if u != 1]
     reps = []
     for mem in connection_set_tuples(n, m, mode):
         if all(tuple(sorted(tab[x] for x in mem)) >= mem for tab in tables):

@@ -9,15 +9,24 @@ seeded and deterministic.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
-from circulant_ci.cayley import ConnectionSet, brute_force_isomorphic, build_cayley
+from circulant_ci.cayley import (
+    CayleyDigraph,
+    ConnectionSet,
+    OracleCutoffError,
+    brute_force_isomorphic,
+    brute_force_isomorphism,
+    build_cayley,
+)
 from circulant_ci.engine import (
     is_ci,
     is_ci_reduced,
     muzychuk_isomorphic,
     orbit_representatives,
+    witnesses,
 )
 from circulant_ci.keys import (
     Key,
@@ -31,7 +40,7 @@ from circulant_ci.keys import (
     refines,
 )
 from circulant_ci.multipliers import as_permutation, solving_set
-from circulant_ci.zn import factorize
+from circulant_ci.zn import DomainError, factorize
 
 SEED = 20250810
 PAIR_SAMPLE_LIMIT = 1500
@@ -63,6 +72,118 @@ def lattice_key_of_partition(pi: ZnPartition) -> Key:
     assert joined is not None, pi  # the zero key refines everything
     assert refines(key_partition(joined), pi), pi
     return joined
+
+
+def _joint_refinement(a_out, a_in, b_out, b_in):
+    """Iterated in/out neighbour colour refinement with a shared palette.
+
+    Returns per-vertex colours for both graphs, or None as soon as the
+    colour histograms diverge (then no isomorphism exists).
+    """
+    n = len(a_out)
+    ca = [0] * n
+    cb = [0] * n
+    while True:
+        sig_a = [
+            (ca[v], tuple(sorted(ca[w] for w in a_out[v])),
+             tuple(sorted(ca[w] for w in a_in[v])))
+            for v in range(n)
+        ]
+        sig_b = [
+            (cb[v], tuple(sorted(cb[w] for w in b_out[v])),
+             tuple(sorted(cb[w] for w in b_in[v])))
+            for v in range(n)
+        ]
+        if Counter(sig_a) != Counter(sig_b):
+            return None
+        palette = {s: i for i, s in enumerate(sorted(set(sig_a)))}
+        new_a = [palette[s] for s in sig_a]
+        new_b = [palette[s] for s in sig_b]
+        if new_a == ca and new_b == cb:
+            return ca, cb
+        ca, cb = new_a, new_b
+
+
+def backtracking_isomorphism(
+    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
+) -> tuple[int, ...] | None:
+    """Reference for brute_force_isomorphism: an arc-preserving vertex
+    bijection from `a` onto `b`, or None.
+
+    Plain backtracking over partial vertex maps, candidates pruned by the
+    refinement colours and checked for adjacency consistency against every
+    vertex already mapped.  Exact; no heuristics affect correctness.
+    """
+    if a.n != b.n:
+        raise DomainError("digraphs live over different Z_n")
+    if a.connection.mode != b.connection.mode:
+        raise DomainError("digraphs have different modes")
+    n = a.n
+    if n > oracle_cutoff:
+        raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
+    if a.connection.valency != b.connection.valency:
+        return None
+
+    a_out = [set(x) for x in a.adjacency]
+    b_out = [set(x) for x in b.adjacency]
+    a_in = [set() for _ in range(n)]
+    b_in = [set() for _ in range(n)]
+    for v in range(n):
+        for w in a_out[v]:
+            a_in[w].add(v)
+        for w in b_out[v]:
+            b_in[w].add(v)
+
+    colours = _joint_refinement(a_out, a_in, b_out, b_in)
+    if colours is None:
+        return None
+    ca, cb = colours
+
+    mapping = [-1] * n
+    used = [False] * n
+    placed: list[int] = []
+
+    def pick() -> int:
+        # most-constrained-first: maximize already-mapped neighbours
+        best, best_score = -1, (-1, 0)
+        for v in range(n):
+            if mapping[v] >= 0:
+                continue
+            score = sum(1 for u in placed if u in a_out[v] or u in a_in[v])
+            if (score, -v) > best_score:
+                best, best_score = v, (score, -v)
+        return best
+
+    def consistent(v: int, w: int) -> bool:
+        for u in placed:
+            mu = mapping[u]
+            if (u in a_out[v]) != (mu in b_out[w]):
+                return False
+            if (u in a_in[v]) != (mu in b_in[w]):
+                return False
+        return True
+
+    def search() -> bool:
+        if len(placed) == n:
+            return True
+        v = pick()
+        for w in range(n):
+            if used[w] or cb[w] != ca[v]:
+                continue
+            if consistent(v, w):
+                mapping[v] = w
+                used[w] = True
+                placed.append(v)
+                if search():
+                    return True
+                placed.pop()
+                used[w] = False
+                mapping[v] = -1
+        return False
+
+    if search():
+        return tuple(mapping)
+    return None
 
 
 def _two_classes(n: int, members) -> ZnPartition:
@@ -201,3 +322,43 @@ def check_key_against_lattice(n_max: int = 16, partition_n_max: int = 72) -> int
             assert key_of_partition(pi) == lattice_key_of_partition(pi), (n, pi)
             checked += 1
     return checked
+
+
+def check_oracle_against_backtracking(n_max: int = 10) -> int:
+    """brute_force_isomorphism gives the verdict of the backtracking
+    reference on every same-size pair of orbit representatives with
+    n <= n_max (both modes), and finds the non-unit isomorphisms of the
+    witness families up to the oracle cutoff (each family against its
+    is_ci witness, both ways round) plus Z_8 {1,2,5} ~ {1,5,6}; every
+    mapping either oracle returns is an arc-preserving bijection."""
+    cases = []
+    for n in range(2, n_max + 1):
+        for mode in ("digraph", "graph"):
+            for m in range(1, n):
+                reps = orbit_representatives(n, m, mode)
+                cases += [
+                    (ConnectionSet(n, amem, mode), ConnectionSet(n, bmem, mode), False)
+                    for amem, bmem in combinations_with_replacement(reps, 2)
+                ]
+    isomorphic = [(ConnectionSet(8, (1, 2, 5)), ConnectionSet(8, (1, 5, 6)))]
+    for n in range(2, 13):
+        for mode in ("digraph", "graph"):
+            for family in witnesses(n, mode):
+                s = family.connection_set
+                isomorphic.append((s, is_ci(s).witness))
+    assert {s.n for s, _ in isomorphic} == {8, 9}, isomorphic
+    cases += [(s, t, True) for s, t in isomorphic] + [(t, s, True) for s, t in isomorphic]
+    for s, t, known_isomorphic in cases:
+        a, b = build_cayley(s), build_cayley(t)
+        fast = brute_force_isomorphism(a, b)
+        slow = backtracking_isomorphism(a, b)
+        case = (s.n, s.mode, s.members, t.members)
+        assert (fast is None) == (slow is None), case
+        assert fast is not None or not known_isomorphic, case
+        for mapping in (fast, slow):
+            if mapping is not None:
+                assert sorted(mapping) == list(range(s.n)), case
+                for v in range(s.n):
+                    image = {mapping[x] for x in a.adjacency[v]}
+                    assert image == b.adjacency[mapping[v]], case
+    return len(cases)

@@ -1,6 +1,7 @@
 """Standalone property suites: lattice monotonicity, key round trips, keys
-against the lattice join, multiplier structure, and the reduction through
-the generated subgroup."""
+against the lattice join, multiplier structure, the reduction through the
+generated subgroup, and the isomorphism oracle against the backtracking
+reference."""
 
 import checks
 
@@ -23,3 +24,7 @@ def test_multiplier_bijectivity_and_class_action():
 
 def test_reduction_lemma_consistency():
     assert checks.check_reduction_consistency() > 0
+
+
+def test_oracle_matches_backtracking():
+    assert checks.check_oracle_against_backtracking() > 0
