@@ -50,10 +50,6 @@ class ConnectionSet:
             if {(-s) % self.n for s in self.members} != set(self.members):
                 raise DomainError("graph connection set must be inverse-closed")
 
-    @classmethod
-    def from_iterable(cls, n: int, members, mode: str = "digraph") -> "ConnectionSet":
-        return cls(n, tuple(sorted(set(members))), mode)
-
     @property
     def valency(self) -> int:
         return len(self.members)
@@ -86,18 +82,6 @@ def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ..
     """Distinct unit multiples of a member tuple, each sorted, overall sorted."""
     seen = {tuple(sorted(u * x % n for x in members)) for u in units(n)}
     return tuple(sorted(seen))
-
-
-def aut_orbit(s: ConnectionSet) -> tuple[tuple[ConnectionSet, ...], ConnectionSet]:
-    """The orbit of S under unit multiplication and its least member.
-
-    The representative is the lexicographically least sorted member tuple;
-    CI-ness is a property of this orbit.
-    """
-    orbit = tuple(
-        ConnectionSet(s.n, m, s.mode) for m in orbit_members(s.members, s.n)
-    )
-    return orbit, orbit[0]
 
 
 def _signatures(out, inn, colours):

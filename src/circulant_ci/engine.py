@@ -199,27 +199,6 @@ def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
     return CiVerdict(False, lifted, "reduction")
 
 
-def zero_key_fast_path(s: ConnectionSet) -> CiVerdict | None:
-    """CI without any scan when the key is the (almost) zero key.
-
-    Solving sets of those keys act as Aut(Z_n), so every isomorphic mate is
-    already a unit multiple.  Returns None when the shortcut does not apply.
-    """
-    if not s.members:
-        raise DomainError("key of the empty set is undefined")
-    return _zero_key_verdict(s, key_of_set(s))
-
-
-def _zero_key_verdict(s: ConnectionSet, k: Key) -> CiVerdict | None:
-    # zero_key_fast_path for a non-empty S whose key k is already known
-    f = k.factorization
-    if k == zero_key(f):
-        return CiVerdict(True, None, "zero-key")
-    if s.n % 8 == 4 and k == almost_zero_key(f):
-        return CiVerdict(True, None, "zero-key")
-    return None
-
-
 def _double_coset(members: set[int], n: int) -> tuple[tuple[int, ...], int] | None:
     # (P + s) | (P - s) for the subgroup P of odd prime order p, P+s != P-s
     size = len(members)
@@ -279,13 +258,18 @@ def _coset_fast_path(s: ConnectionSet) -> CiVerdict | None:
 def decide_ci(s: ConnectionSet) -> CiVerdict:
     """CI decision pipeline: zero-key shortcut, coset shapes, then the
     reduction to the generated subgroup with a full scan.  The key of S is
-    computed once and shared by every stage."""
+    computed once and shared by every stage.
+
+    The zero key, and the almost zero key when n = 4 (mod 8), decide CI
+    without a scan: their solving sets act as Aut(Z_n), so every isomorphic
+    mate is already a unit multiple.
+    """
     if not s.members:
         return CiVerdict(True)
     k = key_of_set(s)
-    verdict = _zero_key_verdict(s, k)
-    if verdict is not None:
-        return verdict
+    f = k.factorization
+    if k == zero_key(f) or (s.n % 8 == 4 and k == almost_zero_key(f)):
+        return CiVerdict(True, None, "zero-key")
     verdict = _coset_fast_path(s)
     if verdict is not None:
         return verdict

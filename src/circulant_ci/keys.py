@@ -1,4 +1,4 @@
-"""The key lattice of Z_n, key partitions, and keys of partitions and sets.
+"""Keys of Z_n, the partitions they induce, and keys of partitions and sets.
 
 A key assigns to every prime power p^t dividing n exactly a nondecreasing
 tuple (k_1, ..., k_t) with 0 <= k_j < j.  Each key k induces a partition of
@@ -36,7 +36,6 @@ from .zn import (
     Factorization,
     InternalConsistencyError,
     factorize,
-    is_prime,
     order_exponent,
 )
 
@@ -60,6 +59,10 @@ class Key:
 
     def __post_init__(self) -> None:
         parts = self.factorization.parts
+        if not isinstance(self.rows, tuple) or not all(
+            isinstance(row, tuple) for row in self.rows
+        ):
+            raise DomainError("key rows must be a tuple of tuples")
         if len(self.rows) != len(parts):
             raise DomainError("one key row per prime power required")
         for (_, t), row in zip(parts, self.rows):
@@ -89,77 +92,6 @@ def almost_zero_key(f: Factorization) -> Key:
             row[1] = 1
         rows.append(tuple(row))
     return Key(f, tuple(rows))
-
-
-def maximal_key(f: Factorization) -> Key:
-    """Componentwise largest key: row (0, 1, ..., t-1) per prime power."""
-    return Key(f, tuple(tuple(range(t)) for _, t in f.parts))
-
-
-# Key-row lists, key lattices and key partitions kept at once (each); the
-# key of a set or partition uses none of them.
-KEY_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=KEY_CACHE_SIZE)
-def _prime_power_key_rows(t: int) -> tuple[tuple[int, ...], ...]:
-    rows: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        j = len(prefix) + 1
-        if j > t:
-            rows.append(tuple(prefix))
-            return
-        for k in range(prefix[-1] if prefix else 0, j):
-            prefix.append(k)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return tuple(rows)
-
-
-def enumerate_keys_prime_power(p: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """All key rows for Z_{p^t} in lexicographic order (Catalan(t) of them)."""
-    if not is_prime(p) or t < 1:
-        raise DomainError("prime power required")
-    return _prime_power_key_rows(t)
-
-
-@lru_cache(maxsize=KEY_CACHE_SIZE)
-def enumerate_keys(f: Factorization) -> tuple[Key, ...]:
-    """The whole key lattice, lexicographic in ascending-prime row order."""
-    per_prime = [_prime_power_key_rows(t) for _, t in f.parts]
-    return tuple(Key(f, rows) for rows in product(*per_prime))
-
-
-def _check_same_space(a: Key, b: Key) -> None:
-    if a.factorization != b.factorization:
-        raise DomainError("keys live in different key spaces")
-
-
-def key_leq(a: Key, b: Key) -> bool:
-    """Componentwise partial order."""
-    _check_same_space(a, b)
-    return all(x <= y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
-
-
-def key_meet(a: Key, b: Key) -> Key:
-    """Componentwise min; always a valid key."""
-    _check_same_space(a, b)
-    return Key(
-        a.factorization,
-        tuple(tuple(map(min, ra, rb)) for ra, rb in zip(a.rows, b.rows)),
-    )
-
-
-def key_join(a: Key, b: Key) -> Key:
-    """Componentwise max; always a valid key."""
-    _check_same_space(a, b)
-    return Key(
-        a.factorization,
-        tuple(tuple(map(max, ra, rb)) for ra, rb in zip(a.rows, b.rows)),
-    )
 
 
 @dataclass(frozen=True)
@@ -233,6 +165,10 @@ def key_partition_prime(row: tuple[int, ...], p: int, t: int) -> ZnPartition:
     return ZnPartition.from_classes(q, classes)
 
 
+# Key partitions kept at once; the key of a set or partition uses none of them.
+KEY_CACHE_SIZE = 512
+
+
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def key_partition(k: Key) -> ZnPartition:
     """The partition of Z_n induced by a key: CRT products of prime classes."""
@@ -243,10 +179,7 @@ def key_partition(k: Key) -> ZnPartition:
     if len(per_prime) == 1:
         return per_prime[0]
     n = f.n
-    basis = []
-    for q in f.prime_powers:
-        m = n // q
-        basis.append(m * pow(m, -1, q) % n)
+    basis = f.idempotents
     classes = []
     for combo in product(*(pi.classes for pi in per_prime)):
         classes.append(
@@ -256,18 +189,6 @@ def key_partition(k: Key) -> ZnPartition:
             )
         )
     return ZnPartition.from_classes(n, classes)
-
-
-def refines(fine: ZnPartition, coarse: ZnPartition) -> bool:
-    """True iff every class of `coarse` is a union of classes of `fine`."""
-    if fine.n != coarse.n:
-        raise DomainError("partitions live over different Z_n")
-    cid = _class_ids(coarse)
-    for cls in fine.classes:
-        first = cid[cls[0]]
-        if any(cid[x] != first for x in cls):
-            return False
-    return True
 
 
 def _stabilizer_key(n: int, tested: Sequence[int], cid: Sequence[int]) -> Key:

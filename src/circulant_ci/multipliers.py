@@ -1,4 +1,4 @@
-"""Generalized multipliers, their permutations, and solving sets.
+"""Genuine multipliers, their permutations, and solving sets.
 
 A multiplier row (m_1, ..., m_t) of Z_{p^t} needs every entry coprime to p
 and acts through the p-adic digits: x = sum x_i p^i maps to
@@ -22,47 +22,36 @@ from typing import Iterator
 
 from .keys import Key, _check_key_row
 from .zn import DomainError, Factorization, InternalConsistencyError, is_prime
-from .zn import crt_decode, crt_encode
+from .zn import crt_decode, crt_encode, factorize
 
 
 @dataclass(frozen=True)
-class GeneralizedMultiplier:
-    """Ragged tuple of positive entries, each coprime to its prime."""
+class GenuineMultiplier:
+    """A generalized multiplier in the normal form of its key.
+
+    One row per prime power of n.  Every entry lies in its genuine range and
+    consecutive entries keep the congruence chain, which makes every entry
+    coprime to p: each is congruent mod p to the one before it, or its range
+    is [1, p - 1].
+    """
 
     factorization: Factorization
     rows: tuple[tuple[int, ...], ...]
+    key: Key
 
     def __post_init__(self) -> None:
         parts = self.factorization.parts
+        if not isinstance(self.rows, tuple) or not all(
+            isinstance(row, tuple) for row in self.rows
+        ):
+            raise DomainError("multiplier rows must be a tuple of tuples")
         if len(self.rows) != len(parts):
             raise DomainError("one multiplier row per prime power required")
-        for (p, t), row in zip(parts, self.rows):
+        if self.key.factorization != self.factorization:
+            raise DomainError("genuine multiplier must carry a key of the same n")
+        for (p, t), row, krow in zip(parts, self.rows, self.key.rows):
             if len(row) != t:
                 raise DomainError(f"multiplier row for {p}^{t} must have length {t}")
-            for m in row:
-                if m < 1 or m % p == 0:
-                    raise DomainError(
-                        "multiplier entries must be positive and coprime to p"
-                    )
-
-    def as_lists(self) -> list[list[int]]:
-        """Serialization form mirroring the key serialization."""
-        return [list(row) for row in self.rows]
-
-
-@dataclass(frozen=True)
-class GenuineMultiplier(GeneralizedMultiplier):
-    """A generalized multiplier in the normal form of a key."""
-
-    key: Key = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.key is None or self.key.factorization != self.factorization:
-            raise DomainError("genuine multiplier must carry a key of the same n")
-        for (p, t), row, krow in zip(
-            self.factorization.parts, self.rows, self.key.rows
-        ):
             for a in range(t):
                 bound = p ** (a + 1 - krow[a])
                 if bound < 2:  # k_j < j keeps the genuine range non-empty
@@ -75,6 +64,10 @@ class GenuineMultiplier(GeneralizedMultiplier):
                 mod = p ** (a + 1 - krow[a + 1])
                 if (row[a + 1] - row[a]) % mod:
                     raise DomainError("congruence chain violated")
+
+    def as_lists(self) -> list[list[int]]:
+        """Serialization form mirroring the key serialization."""
+        return [list(row) for row in self.rows]
 
 
 def apply_multiplier_prime(row: tuple[int, ...], x: int, p: int, t: int) -> int:
@@ -93,7 +86,7 @@ def apply_multiplier_prime(row: tuple[int, ...], x: int, p: int, t: int) -> int:
     return y % q
 
 
-def apply_multiplier(m: GeneralizedMultiplier, x: int) -> int:
+def apply_multiplier(m: GenuineMultiplier, x: int) -> int:
     """Image of x in Z_n: encode, act per prime power, decode."""
     f = m.factorization
     components = crt_encode(x, f)
@@ -104,7 +97,7 @@ def apply_multiplier(m: GeneralizedMultiplier, x: int) -> int:
     return crt_decode(images, f)
 
 
-def as_permutation(m: GeneralizedMultiplier) -> tuple[int, ...]:
+def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n."""
     return tuple(apply_multiplier(m, x) for x in range(m.factorization.n))
 
@@ -152,8 +145,8 @@ def _image_tables(
     """(genuine row, table) per genuine row of the key row; the table maps
     residue c of Z_{p^t} to its image times the CRT idempotent of p^t in Z_n."""
     q = p**t
-    m = n // q
-    idempotent = m * pow(m, -1, q) % n
+    f = factorize(n)
+    idempotent = f.idempotents[f.parts.index((p, t))]
     tables = []
     for genuine in genuine_multipliers_prime_power(row, p, t):
         table = [0]

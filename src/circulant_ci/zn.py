@@ -1,16 +1,16 @@
 """Exact arithmetic over Z_n.
 
 Residues are canonical ints in ``range(n)``; derived views (CRT coordinate
-tuples, p-adic digit vectors) are computed on demand and never stored.  All
-functions are pure and all values immutable, so everything here is safe to
-share across threads or worker processes.
+tuples) are computed on demand and never stored.  All functions are pure and
+all values immutable, so everything here is safe to share across threads or
+worker processes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 
@@ -69,6 +69,15 @@ class Factorization:
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(p**t for p, t in self.parts)
 
+    @cached_property
+    def idempotents(self) -> tuple[int, ...]:
+        """CRT idempotent per prime power q: 1 mod q and 0 mod n / q."""
+        out = []
+        for q in self.prime_powers:
+            m = self.n // q
+            out.append(m * pow(m, -1, q) % self.n)
+        return tuple(out)
+
     def __str__(self) -> str:
         body = " * ".join(f"{p}^{t}" if t > 1 else str(p) for p, t in self.parts)
         return f"{self.n} = {body}"
@@ -116,31 +125,10 @@ def crt_decode(components: Sequence[int], f: Factorization) -> int:
     if len(components) != len(qs):
         raise DomainError("one component per prime power required")
     x = 0
-    for c, q in zip(components, qs):
+    for c, q, e in zip(components, qs, f.idempotents):
         _check_residue(c, q)
-        m = f.n // q
-        x = (x + c * m * pow(m, -1, q)) % f.n
+        x = (x + c * e) % f.n
     return x
-
-
-def p_adic_digits(x: int, modulus: int) -> tuple[int, ...]:
-    """Base-p digits (x_0, ..., x_{t-1}) of x for a prime-power modulus p^t."""
-    f = factorize(modulus)
-    if len(f.parts) != 1:
-        raise DomainError(f"{modulus} is not a prime power")
-    ((p, t),) = f.parts
-    _check_residue(x, modulus)
-    digits = []
-    for _ in range(t):
-        digits.append(x % p)
-        x //= p
-    return tuple(digits)
-
-
-def element_order(x: int, n: int) -> int:
-    """Additive order of x in Z_n, i.e. n / gcd(x, n)."""
-    _check_residue(x, n)
-    return n // math.gcd(x, n)
 
 
 def order_exponent(x: int, p: int, t: int) -> int:

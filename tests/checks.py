@@ -4,6 +4,11 @@ Shared between the per-module tests and the acceptance run.  Each check
 raises AssertionError on the first violation and returns the number of
 cases it verified.  Sampling, where a space is too large to exhaust, is
 seeded and deterministic.
+
+The slow references the checks compare against live here too: the whole
+key lattice with its order and join, partition refinement, the lattice
+join as the key of a partition, and the backtracking isomorphism search.
+The library's decision path uses none of them.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from circulant_ci.cayley import (
     CayleyDigraph,
@@ -31,16 +36,13 @@ from circulant_ci.engine import (
 from circulant_ci.keys import (
     Key,
     ZnPartition,
-    enumerate_keys,
-    key_join,
-    key_leq,
+    _class_ids,
     key_of_partition,
     key_of_set,
     key_partition,
-    refines,
 )
 from circulant_ci.multipliers import as_permutation, solving_set
-from circulant_ci.zn import DomainError, factorize
+from circulant_ci.zn import DomainError, Factorization, factorize
 
 SEED = 20250810
 PAIR_SAMPLE_LIMIT = 1500
@@ -49,6 +51,68 @@ PAIR_SAMPLE_LIMIT = 1500
 COSET_UNION_MODULI = (32, 48, 64, 72, 96, 108, 128, 144, 192, 216, 243, 256)
 COSET_UNIONS_PER_MODULUS = 12
 PARTITIONS_PER_MODULUS = 6
+
+
+# Key lattices (and per-prime row lists) kept at once by the references below.
+LATTICE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _prime_power_key_rows(t: int) -> tuple[tuple[int, ...], ...]:
+    """All key rows for Z_{p^t} in lexicographic order (Catalan(t) of them)."""
+    rows: list[tuple[int, ...]] = []
+
+    def extend(prefix: list[int]) -> None:
+        j = len(prefix) + 1
+        if j > t:
+            rows.append(tuple(prefix))
+            return
+        for k in range(prefix[-1] if prefix else 0, j):
+            prefix.append(k)
+            extend(prefix)
+            prefix.pop()
+
+    extend([])
+    return tuple(rows)
+
+
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def enumerate_keys(f: Factorization) -> tuple[Key, ...]:
+    """The whole key lattice, lexicographic in ascending-prime row order."""
+    per_prime = [_prime_power_key_rows(t) for _, t in f.parts]
+    return tuple(Key(f, rows) for rows in product(*per_prime))
+
+
+def _check_same_space(a: Key, b: Key) -> None:
+    if a.factorization != b.factorization:
+        raise DomainError("keys live in different key spaces")
+
+
+def key_leq(a: Key, b: Key) -> bool:
+    """Componentwise partial order."""
+    _check_same_space(a, b)
+    return all(x <= y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
+
+
+def key_join(a: Key, b: Key) -> Key:
+    """Componentwise max; always a valid key."""
+    _check_same_space(a, b)
+    return Key(
+        a.factorization,
+        tuple(tuple(map(max, ra, rb)) for ra, rb in zip(a.rows, b.rows)),
+    )
+
+
+def refines(fine: ZnPartition, coarse: ZnPartition) -> bool:
+    """True iff every class of `coarse` is a union of classes of `fine`."""
+    if fine.n != coarse.n:
+        raise DomainError("partitions live over different Z_n")
+    cid = _class_ids(coarse)
+    for cls in fine.classes:
+        first = cid[cls[0]]
+        if any(cid[x] != first for x in cls):
+            return False
+    return True
 
 
 @lru_cache(maxsize=2)

@@ -1,25 +1,20 @@
-"""Unit tests for the key lattice, key partitions, and keys of sets."""
+"""Unit tests for keys, key partitions, and keys of sets, and for the key
+lattice references in checks."""
 
 import math
 
 import pytest
 
+from checks import _prime_power_key_rows, enumerate_keys, key_join, key_leq, refines
 from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import (
     Key,
     ZnPartition,
     almost_zero_key,
-    enumerate_keys,
-    enumerate_keys_prime_power,
-    key_join,
-    key_leq,
-    key_meet,
     key_of_partition,
     key_of_set,
     key_partition,
     key_partition_prime,
-    maximal_key,
-    refines,
     zero_key,
 )
 from circulant_ci.zn import DomainError, factorize, units
@@ -49,24 +44,26 @@ def test_key_invariants_enforced():
         _key(8, (0, 1, 0))  # must be nondecreasing
     with pytest.raises(DomainError):
         _key(8, (0, 1))  # wrong row length
+    with pytest.raises(DomainError, match="tuple"):
+        Key(factorize(8), ([0, 0, 1],))  # a list row would be unhashable
 
 
 def test_enumerate_prime_power_rows():
-    assert enumerate_keys_prime_power(2, 3) == (
+    assert _prime_power_key_rows(3) == (
         (0, 0, 0),
         (0, 0, 1),
         (0, 0, 2),
         (0, 1, 1),
         (0, 1, 2),
     )
-    assert enumerate_keys_prime_power(7, 1) == ((0,),)
-    assert enumerate_keys_prime_power(5, 2) == ((0, 0), (0, 1))
+    assert _prime_power_key_rows(1) == ((0,),)
+    assert _prime_power_key_rows(2) == ((0, 0), (0, 1))
 
 
 def test_prime_power_count_is_catalan():
     for t in range(1, 7):
         catalan = math.comb(2 * t, t) // (t + 1)
-        assert len(enumerate_keys_prime_power(2, t)) == catalan
+        assert len(_prime_power_key_rows(t)) == catalan
 
 
 def test_enumerate_keys_sizes():
@@ -79,9 +76,9 @@ def test_lattice_ops():
     a = _key(8, (0, 0, 1))
     b = _key(8, (0, 1, 1))
     assert key_join(a, b).rows == ((0, 1, 1),)
-    assert key_meet(a, b).rows == ((0, 0, 1),)
     z = zero_key(factorize(8))
-    assert key_meet(a, z) == z
+    assert key_join(a, z) == a
+    assert key_leq(z, a)
     assert key_leq(a, _key(8, (0, 1, 2)))
     assert not key_leq(b, a)
 
@@ -96,8 +93,7 @@ def test_lattice_closure():
         keys = enumerate_keys(factorize(n))
         for a in keys:
             for b in keys:
-                key_meet(a, b)  # the constructors validate the invariants
-                key_join(a, b)
+                key_join(a, b)  # the constructor validates the invariants
 
 
 def test_key_partition_prime_examples():
@@ -147,10 +143,13 @@ def test_key_of_partition_examples():
     assert key_of_partition(pi).rows == ((0, 1),)
     singles = ZnPartition.from_classes(36, [[x] for x in range(36)])
     assert key_of_partition(singles) == zero_key(factorize(36))
-    # {0} apart from everything is refined by every key partition
+    # {0} apart from everything is refined by every key partition, so its
+    # key is the largest one, row (0, 1, ..., t-1) per prime power
     for n in (8, 36, 72):
+        f = factorize(n)
+        largest = Key(f, tuple(tuple(range(t)) for _, t in f.parts))
         pi = ZnPartition.from_classes(n, [[0], range(1, n)])
-        assert key_of_partition(pi) == maximal_key(factorize(n))
+        assert key_of_partition(pi) == largest
 
 
 def test_key_of_set_examples():

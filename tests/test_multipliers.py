@@ -1,13 +1,14 @@
-"""Unit tests for generalized multipliers, genuine rows, and solving sets."""
+"""Unit tests for genuine multipliers, genuine rows, and solving sets."""
 
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+from checks import enumerate_keys
 from circulant_ci.cayley import ConnectionSet
-from circulant_ci.keys import Key, enumerate_keys, key_of_set, zero_key
+from circulant_ci.keys import Key, key_of_set, zero_key
 from circulant_ci.multipliers import (
-    GeneralizedMultiplier,
     GenuineMultiplier,
     apply_multiplier,
     apply_multiplier_prime,
@@ -15,7 +16,7 @@ from circulant_ci.multipliers import (
     genuine_multipliers_prime_power,
     solving_set,
 )
-from circulant_ci.zn import DomainError, element_order, factorize
+from circulant_ci.zn import DomainError, factorize
 
 
 def test_apply_prime_example():
@@ -43,18 +44,21 @@ def test_prime_square_action_formula():
                     assert apply_multiplier_prime((m1, m2), x, p, 2) == expected
 
 
+def _z8_multiplier():
+    f8 = factorize(8)
+    return GenuineMultiplier(f8, ((1, 1, 3),), Key(f8, ((0, 0, 1),)))
+
+
 def test_apply_multiplier_composite():
     f = factorize(36)
-    ones = GeneralizedMultiplier(f, ((1, 1), (1, 1)))
+    ones = GenuineMultiplier(f, ((1, 1), (1, 1)), zero_key(f))
     assert [apply_multiplier(ones, x) for x in range(36)] == list(range(36))
-    m = GeneralizedMultiplier(factorize(8), ((1, 1, 3),))
-    assert {apply_multiplier(m, x) for x in (1, 2, 5)} == {2, 3, 7}
+    assert {apply_multiplier(_z8_multiplier(), x) for x in (1, 2, 5)} == {2, 3, 7}
 
 
 def test_apply_multiplier_rejects_wrong_modulus():
-    m = GeneralizedMultiplier(factorize(8), ((1, 1, 3),))
     with pytest.raises(DomainError):
-        apply_multiplier(m, 8)
+        apply_multiplier(_z8_multiplier(), 8)
 
 
 def test_zero_key_multipliers_act_as_units():
@@ -66,10 +70,15 @@ def test_zero_key_multipliers_act_as_units():
 
 def test_generalized_multiplier_validation():
     f9 = factorize(9)
-    with pytest.raises(DomainError, match="coprime"):
-        GeneralizedMultiplier(f9, ((3, 1),))
+    z9 = zero_key(f9)
+    with pytest.raises(DomainError, match="genuine range"):
+        GenuineMultiplier(f9, ((3, 1),), z9)  # 3 is not coprime to 3
     with pytest.raises(DomainError):
-        GeneralizedMultiplier(f9, ((1,),))  # wrong row length
+        GenuineMultiplier(f9, ((1,),), z9)  # wrong row length
+    with pytest.raises(DomainError, match="tuple"):
+        GenuineMultiplier(f9, ([1, 1],), z9)  # a list row would be unhashable
+    with pytest.raises(DomainError, match="same n"):
+        GenuineMultiplier(f9, ((1, 1),), zero_key(factorize(8)))
 
 
 def test_genuine_rows_examples():
@@ -142,7 +151,7 @@ def test_order_preservation():
             for m in solving_set(k):
                 perm = as_permutation(m)
                 for x in range(q):
-                    assert element_order(perm[x], q) == element_order(x, q)
+                    assert q // gcd(perm[x], q) == q // gcd(x, q)
 
 
 def test_key_preservation_exhaustive_small_n():

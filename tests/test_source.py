@@ -1,16 +1,34 @@
-"""Checks on the package source itself."""
+"""Checks on the package source, and on the files outside it that name its
+parts: the README examples and the benchmark's lookups by name."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import circulant_ci
 
 SOURCES = sorted(Path(circulant_ci.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = {path.stem for path in SOURCES}
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
 
 
 def _trees():
     for path in SOURCES:
-        yield path, ast.parse(path.read_text(), str(path))
+        yield path, _parse(path)
+
+
+def test_exports_are_all():
+    # the package exports exactly __all__, each name once and resolvable
+    names = circulant_ci.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(circulant_ci, n)] == []
+    public = {n for n in vars(circulant_ci) if not n.startswith("_")}
+    assert public - MODULES - set(names) == set()
 
 
 def test_no_assert_statements():
@@ -82,3 +100,64 @@ def test_output_format_read_only_by_emit():
         if scope not in allowed
     ]
     assert not found, found
+
+
+def _resolve(dotted: str):
+    """The object a name such as "keys.key_partition" denotes in the package."""
+    mod, _, rest = dotted.partition(".")
+    obj = importlib.import_module(f"circulant_ci.{mod}")
+    for attr in filter(None, rest.split(".")):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _package_lookups(tree: ast.Module):
+    """Each attribute read off a package object that `tree` finds by its
+    name as a string, as in sys.modules["circulant_ci.engine"].x or
+    originals["keys.key_partition"].x, given as "engine.x" or
+    "keys.key_partition.x"."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript):
+            key = node.value.slice
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                name = key.value.removeprefix("circulant_ci.")
+                if name.split(".")[0] in MODULES:
+                    yield f"{name}.{node.attr}"
+
+
+def test_bench_names_resolve():
+    # the benchmark finds these by name at run time, so a deletion or rename
+    # here breaks its traced runs without failing any import
+    spans = _parse(ROOT / "bench" / "spans.py")
+    child = _parse(ROOT / "bench" / "child.py")
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in spans.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets)
+    ]
+    names = [f"{mod}.{fn}" for mod, fn in layers] + list(_package_lookups(spans))
+    assert "engine.connection_set_tuples" in names
+    assert "keys.key_partition.cache_info" in names
+    missing = []
+    for name in names:
+        try:
+            _resolve(name)
+        except (AttributeError, ImportError):
+            missing.append(name)
+    assert not missing, missing
+    used = {
+        node.attr
+        for node in ast.walk(child)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ci"
+    }
+    assert "decide_ci" in used
+    unexported = used - set(circulant_ci.__all__)
+    assert not unexported, sorted(unexported)
+
+
+def test_readme_examples_run():
+    failures, tried = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert tried > 0 and failures == 0

@@ -1,5 +1,7 @@
 """Unit tests for exact Z_n arithmetic."""
 
+from math import gcd
+
 import pytest
 
 from circulant_ci.zn import (
@@ -7,11 +9,9 @@ from circulant_ci.zn import (
     Factorization,
     crt_decode,
     crt_encode,
-    element_order,
     factorize,
     generated_subgroup,
     order_exponent,
-    p_adic_digits,
     subgroup_of_order,
     units,
 )
@@ -62,6 +62,23 @@ def test_crt_decode_matches_scan():
         assert crt_decode(comps, f) == expected
 
 
+def test_idempotents_examples():
+    assert factorize(36).idempotents == (9, 28)
+    assert factorize(8).idempotents == (1,)
+    assert factorize(60).idempotents == (45, 40, 36)
+
+
+def test_idempotents_are_the_crt_basis():
+    # e_i = 1 mod q_i and 0 mod every other prime power, so they sum to 1
+    for n in range(2, 201):
+        f = factorize(n)
+        qs = f.prime_powers
+        for e, q in zip(f.idempotents, qs):
+            assert 0 <= e < n
+            assert [e % r for r in qs] == [int(r == q) for r in qs]
+        assert sum(f.idempotents) % n == 1
+
+
 def test_crt_errors():
     f = factorize(36)
     with pytest.raises(DomainError):
@@ -78,49 +95,11 @@ def test_crt_round_trip_up_to_200():
         assert all(crt_decode(crt_encode(x, f), f) == x for x in range(n))
 
 
-def test_p_adic_digits_examples():
-    assert p_adic_digits(5, 8) == (1, 0, 1)
-    assert p_adic_digits(0, 27) == (0, 0, 0)
-    assert p_adic_digits(7, 9) == (1, 2)
-
-
-def test_p_adic_digits_rejects_composite_modulus():
-    with pytest.raises(DomainError, match="prime power"):
-        p_adic_digits(5, 12)
-
-
-def test_p_adic_digits_reconstruct():
-    for q in range(2, 257):
-        f = factorize(q)
-        if len(f.parts) != 1:
-            continue
-        ((p, t),) = f.parts
-        for x in range(q):
-            digits = p_adic_digits(x, q)
-            assert len(digits) == t
-            assert sum(d * p**i for i, d in enumerate(digits)) == x
-
-
-def test_element_order_examples():
-    assert element_order(6, 9) == 3
-    assert element_order(0, 17) == 1
-    assert element_order(4, 8) == 2
-
-
-def test_element_order_divides_and_is_unit_invariant():
-    for n in range(2, 41):
-        for x in range(n):
-            order = element_order(x, n)
-            assert n % order == 0
-            for u in units(n):
-                assert element_order(u * x % n, n) == order
-
-
 def test_order_exponent_matches_element_order():
     for p, t in ((2, 4), (3, 3), (5, 2), (7, 1)):
         q = p**t
         for x in range(q):
-            assert p ** order_exponent(x, p, t) == element_order(x, q)
+            assert p ** order_exponent(x, p, t) == q // gcd(x, q)
 
 
 def test_units_examples():
