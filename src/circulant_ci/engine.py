@@ -7,14 +7,19 @@ every image stays inside the unit orbit of S.
 
 On top of the single-set decision sit the exhaustive valency sweeps, the
 closed-form classification predicates they are checked against, the coset
-shaped fast paths, and the explicit non-CI witness families.
+shaped fast paths, and the explicit non-CI witness families.  A sweep makes
+one pass per modulus n over the valencies 1, 2, ..., stopping at the first
+that fails, and reads the report of every m of n off that pass.  The four
+predicates share one condition: n is divisible by neither 8 nor p^2 for any
+odd prime p below a bound (m for m-DCI, (m-1)/2 for m-CI, none for the
+group forms), with 8, 9 and 18 as the CI exceptions.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -189,9 +194,7 @@ def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
     verdict = is_ci(reduced)
     if verdict.is_ci:
         return CiVerdict(True, None, "reduction")
-    lifted = ConnectionSet(
-        s.n, tuple(sorted(x * g for x in verdict.witness.members)), s.mode
-    )
+    lifted = ConnectionSet(s.n, _lift(verdict.witness.members, s.n, n_sub), s.mode)
     if key_of_set(lifted) != k:
         raise InternalConsistencyError("lifted witness changed the key")
     if lifted.members in orbit_members(s.members, s.n):
@@ -336,16 +339,6 @@ def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     )
 
 
-# Single-valency sweep reports kept at once; is_m_group reuses the reports
-# for valencies 1..m of one n, so this needs to exceed the largest m swept.
-REPORT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=REPORT_CACHE_SIZE)
-def _m_property_cached(n: int, m: int, mode: str) -> ClassificationReport:
-    return m_property(n, m, mode)
-
-
 def is_m_group(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     """Conjunction of the valency property over 1..m, short-circuiting.
 
@@ -355,26 +348,46 @@ def is_m_group(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     """
     _check_mode(mode)
     _check_nm(n, m)
-    holds = True
-    failed_at = None
-    counterexamples: tuple = ()
-    for i in range(1, m + 1):
-        report = _m_property_cached(n, i, mode)
+    return _group_reports((n, (m,), mode))[0]
+
+
+def _group_reports(task: tuple[int, tuple[int, ...], str]) -> list[ClassificationReport]:
+    # the is_m_group report of every m in ms, ascending, from one walk over
+    # the valencies 1, 2, ... that stops at the first failing one
+    n, ms, mode = task
+    failed = None
+    for i in range(1, max(ms) + 1):
+        report = m_property(n, i, mode)
         if not report.property_holds:
-            holds = False
-            failed_at = i
-            counterexamples = report.counterexamples
+            failed = report
             break
-    if mode == "digraph" and m >= 3:
-        predicate = predicate_mdci(n, m)
-    elif mode == "graph" and m >= 6:
-        predicate = predicate_mci(n, m)
-    else:
-        predicate = None
-    agreement = None if predicate is None else predicate == holds
-    return ClassificationReport(
-        n, m, mode, holds, counterexamples, predicate, agreement, failed_at
-    )
+    reports = []
+    for m in ms:
+        holds = failed is None or failed.m > m
+        counterexamples = () if holds else failed.counterexamples
+        failed_at = None if holds else failed.m
+        if mode == "digraph" and m >= 3:
+            predicate = predicate_mdci(n, m)
+        elif mode == "graph" and m >= 6:
+            predicate = predicate_mci(n, m)
+        else:
+            predicate = None
+        agreement = None if predicate is None else predicate == holds
+        reports.append(
+            ClassificationReport(
+                n, m, mode, holds, counterexamples, predicate, agreement, failed_at
+            )
+        )
+    return reports
+
+
+def _no_square_below(n: int, bound: float) -> bool:
+    # n divisible by neither 8 nor p^2 for any odd prime p < bound
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
+    if n % 8 == 0:
+        return False
+    return not any(p != 2 and t >= 2 and p < bound for p, t in factorize(n).parts)
 
 
 def predicate_mdci(n: int, m: int) -> bool:
@@ -382,11 +395,7 @@ def predicate_mdci(n: int, m: int) -> bool:
     n divisible by neither 8 nor p^2 for any odd prime p < m."""
     if m < 3:
         raise DomainError("predicate stated only for m ≥ 3")
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
-    if n % 8 == 0:
-        return False
-    return not any(p != 2 and t >= 2 and p < m for p, t in factorize(n).parts)
+    return _no_square_below(n, m)
 
 
 def predicate_mci(n: int, m: int) -> bool:
@@ -395,31 +404,17 @@ def predicate_mci(n: int, m: int) -> bool:
     prime p < (m-1)/2."""
     if m < 6:
         raise DomainError("predicate stated only for m ≥ 6")
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
-    if n in (8, 9, 18):
-        return True
-    if n % 8 == 0:
-        return False
-    return not any(
-        p != 2 and t >= 2 and 2 * p < m - 1 for p, t in factorize(n).parts
-    )
+    return n in (8, 9, 18) or _no_square_below(n, (m - 1) / 2)
 
 
 def predicate_dci_group(n: int) -> bool:
     """n = k or 2k with k square-free: no factor 8, no odd square factor."""
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
-    if n % 8 == 0:
-        return False
-    return not any(p != 2 and t >= 2 for p, t in factorize(n).parts)
+    return _no_square_below(n, math.inf)
 
 
 def predicate_ci_group(n: int) -> bool:
     """The DCI condition relaxed by the three exceptional orders."""
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
-    return n in (8, 9, 18) or predicate_dci_group(n)
+    return n in (8, 9, 18) or _no_square_below(n, math.inf)
 
 
 def _lift(members: Iterable[int], n: int, q: int) -> tuple[int, ...]:
@@ -478,22 +473,6 @@ def witnesses(n: int, mode: str = "digraph") -> tuple[WitnessFamily, ...]:
     return tuple(out)
 
 
-def theorem_cells(n_max: int, m_max: int, mode: str) -> list[tuple[int, int]]:
-    """The (n, m) cells where a closed-form predicate applies."""
-    _check_mode(mode)
-    lo = 3 if mode == "digraph" else 6
-    return [
-        (n, m)
-        for n in range(2, n_max + 1)
-        for m in range(lo, min(m_max, n - 1) + 1)
-    ]
-
-
-def _reports_for_n(args: tuple[int, tuple[int, ...], str]) -> list[ClassificationReport]:
-    n, ms, mode = args
-    return [is_m_group(n, m, mode) for m in ms]
-
-
 def verify_theorems(
     n_max: int, m_max: int, mode: str = "digraph", workers: int = 1
 ) -> tuple[ClassificationReport, ...]:
@@ -501,24 +480,24 @@ def verify_theorems(
 
     Any disagreeing cell raises DisagreementError carrying all reports
     (a disagreement is either an implementation bug or a refutation and
-    must not pass silently).  Worker count never changes the result: cells
-    are computed independently and merged in sorted order.
+    must not pass silently).  Worker count never changes the result: each
+    modulus is one task, and the reports come back in task order.
     """
-    cells = theorem_cells(n_max, m_max, mode)
-    by_n: dict[int, list[int]] = {}
-    for n, m in cells:
-        by_n.setdefault(n, []).append(m)
-    tasks = [(n, tuple(ms), mode) for n, ms in sorted(by_n.items())]
+    _check_mode(mode)
+    lo = 3 if mode == "digraph" else 6  # the least m with a closed form
+    tasks = []
+    for n in range(2, n_max + 1):
+        ms = tuple(range(lo, min(m_max, n - 1) + 1))
+        if ms:
+            tasks.append((n, ms, mode))
     # the pool forks all max_workers processes on the first submit
     workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_reports_for_n, tasks))
+            chunks = list(pool.map(_group_reports, tasks))
     else:
-        chunks = [_reports_for_n(task) for task in tasks]
-    reports = sorted(
-        (r for chunk in chunks for r in chunk), key=lambda r: (r.n, r.m)
-    )
+        chunks = [_group_reports(task) for task in tasks]
+    reports = [r for chunk in chunks for r in chunk]
     if any(r.agreement is False for r in reports):
         raise DisagreementError(reports)
     return tuple(reports)

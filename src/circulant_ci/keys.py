@@ -3,8 +3,10 @@
 A key assigns to every prime power p^t dividing n exactly a nondecreasing
 tuple (k_1, ..., k_t) with 0 <= k_j < j.  Each key k induces a partition of
 Z_{p^t} whose nonzero classes are cosets P_{k_a} + x, where p^a is the order
-of x and P_j is the subgroup of order p^j; for general n the classes are CRT
-products across the prime powers.  Larger keys give coarser partitions.
+of x and P_j is the subgroup of order p^j.  For general n the class of x is
+x + H, where H sums the subgroups P_k that the per-prime rows give x; that
+is the CRT product of the per-prime classes.  Larger keys give coarser
+partitions.
 
 The key of an arbitrary partition is the join of all keys whose partition
 refines it (the coarsest refining key partition).  The key of a subset S is
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Sequence
 
 from .zn import (
@@ -108,6 +109,10 @@ class ZnPartition:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise DomainError("modulus must be at least 2")
+        if not isinstance(self.classes, tuple) or not all(
+            isinstance(cls, tuple) for cls in self.classes
+        ):
+            raise DomainError("partition classes must be a tuple of tuples")
         seen = [False] * self.n
         for cls in self.classes:
             if not cls:
@@ -143,26 +148,9 @@ def _class_ids(pi: ZnPartition) -> tuple[int, ...]:
 
 
 def key_partition_prime(row: tuple[int, ...], p: int, t: int) -> ZnPartition:
-    """The partition of Z_{p^t} induced by a key row.
-
-    {0} is a class of its own; every nonzero x lies in the coset P_k + x
-    where k is the row entry at the order exponent of x.
-    """
-    _check_key_row(tuple(row), t)
-    q = p**t
-    assigned = [False] * q
-    assigned[0] = True
-    classes: list[tuple[int, ...]] = [(0,)]
-    for x in range(1, q):
-        if assigned[x]:
-            continue
-        k = row[order_exponent(x, p, t) - 1]
-        step = q // p**k  # P_k = multiples of p^(t-k), p^k of them
-        coset = sorted((x + y) % q for y in range(0, q, step))
-        for y in coset:
-            assigned[y] = True
-        classes.append(tuple(coset))
-    return ZnPartition.from_classes(q, classes)
+    """The partition of Z_{p^t} induced by a key row: key_partition of the
+    one-row key of p^t."""
+    return key_partition(Key(Factorization(p**t, ((p, t),)), (tuple(row),)))
 
 
 # Key partitions kept at once; the key of a set or partition uses none of them.
@@ -171,24 +159,30 @@ KEY_CACHE_SIZE = 512
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def key_partition(k: Key) -> ZnPartition:
-    """The partition of Z_n induced by a key: CRT products of prime classes."""
+    """The partition of Z_n induced by a key.
+
+    The class of x is the coset x + H, where H is the subgroup of order
+    prod_p p^k and k is the row-p entry at the order exponent of x mod p^t
+    (k = 0 where x = 0 mod p^t, so {0} is a class of its own).  This is
+    the CRT product of the per-prime classes.
+    """
     f = k.factorization
-    per_prime = [
-        key_partition_prime(row, p, t) for (p, t), row in zip(f.parts, k.rows)
-    ]
-    if len(per_prime) == 1:
-        return per_prime[0]
     n = f.n
-    basis = f.idempotents
+    assigned = [False] * n
     classes = []
-    for combo in product(*(pi.classes for pi in per_prime)):
-        classes.append(
-            sorted(
-                sum(c * e for c, e in zip(tup, basis)) % n
-                for tup in product(*combo)
-            )
-        )
-    return ZnPartition.from_classes(n, classes)
+    for x in range(n):
+        if assigned[x]:
+            continue
+        order = 1
+        for (p, t), row in zip(f.parts, k.rows):
+            a = order_exponent(x % p**t, p, t)
+            if a:
+                order *= p ** row[a - 1]
+        coset = sorted(y % n for y in range(x, x + n, n // order))
+        for y in coset:
+            assigned[y] = True
+        classes.append(tuple(coset))
+    return ZnPartition(n, tuple(classes))
 
 
 def _stabilizer_key(n: int, tested: Sequence[int], cid: Sequence[int]) -> Key:

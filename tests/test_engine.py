@@ -207,6 +207,24 @@ def test_predicate_examples():
     assert not predicate_dci_group(16) and not predicate_ci_group(16)
     assert not predicate_dci_group(18) and predicate_ci_group(18)
 
+    # the two theorems transcribed: no 8 | n, and no p^2 | n for an odd
+    # prime p below the bound (m for m-DCI, (m-1)/2 for m-CI, none for the
+    # group forms); the CI forms also hold for n in {8, 9, 18}
+    odd_primes = [p for p in range(3, 200, 2) if all(p % d for d in range(3, p, 2))]
+
+    def condition(n, below):
+        return n % 8 != 0 and not any(below(p) and n % (p * p) == 0 for p in odd_primes)
+
+    for n in range(2, 201):
+        exceptional = n in (8, 9, 18)
+        assert predicate_dci_group(n) == condition(n, lambda p: True), n
+        assert predicate_ci_group(n) == (exceptional or condition(n, lambda p: True)), n
+        for m in range(3, 25):
+            assert predicate_mdci(n, m) == condition(n, lambda p: p < m), (n, m)
+        for m in range(6, 25):
+            expected = exceptional or condition(n, lambda p: 2 * p < m - 1)
+            assert predicate_mci(n, m) == expected, (n, m)
+
 
 def test_predicate_ranges_rejected():
     with pytest.raises(DomainError, match="m"):
@@ -251,6 +269,26 @@ def test_verify_theorems_small():
     assert len({(r.n, r.m) for r in reports}) == len(reports)
     reports_g = verify_theorems(12, 7, "graph")
     assert all(r.agreement for r in reports_g)
+
+
+def test_sweep_walks_each_valency_once(monkeypatch):
+    # each n of the sweep tests valencies 1..f(n) once, f(n) the first that
+    # fails or else the largest m of n, on every run (no report is kept)
+    calls = []
+
+    def counting_m_property(n, m, mode="digraph"):
+        calls.append((n, m))
+        return m_property(n, m, mode)
+
+    monkeypatch.setattr(engine, "m_property", counting_m_property)
+    for _ in range(2):
+        calls.clear()
+        reports = verify_theorems(12, 6, "digraph")
+        # the reports of n ascend in m, and the last one fails where the
+        # first failing one does
+        last = {r.n: r.failed_at or r.m for r in reports}
+        expected = [(n, i) for n, f in last.items() for i in range(1, f + 1)]
+        assert sorted(calls) == expected
 
 
 def test_verify_theorems_parallel_matches_serial():

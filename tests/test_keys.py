@@ -115,6 +115,8 @@ def test_key_partition_prime_examples():
         (4,),
         (6,),
     )
+    with pytest.raises(DomainError, match="not prime"):
+        key_partition_prime((0, 1), 4, 2)
 
 
 def test_key_partition_product():
@@ -189,3 +191,5 @@ def test_partition_canonical_form_enforced():
         ZnPartition(4, ((0,), (2, 3)))  # not covering
     with pytest.raises(DomainError):
         ZnPartition(4, ((1, 2, 3), (0,)))  # wrong class order
+    with pytest.raises(DomainError, match="tuple"):
+        ZnPartition(4, ([0], [1, 2, 3]))  # list classes would be unhashable
