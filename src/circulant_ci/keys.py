@@ -147,12 +147,6 @@ def _class_ids(pi: ZnPartition) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def key_partition_prime(row: tuple[int, ...], p: int, t: int) -> ZnPartition:
-    """The partition of Z_{p^t} induced by a key row: key_partition of the
-    one-row key of p^t."""
-    return key_partition(Key(Factorization(p**t, ((p, t),)), (tuple(row),)))
-
-
 # Key partitions kept at once; the key of a set or partition uses none of them.
 KEY_CACHE_SIZE = 512
 

@@ -9,7 +9,9 @@ m_{i+1} = m_i (mod p^(i - k_{i+1})).
 
 The solving set of a key combines the per-prime genuine rows across the
 ascending primes of n; its induced permutations are exactly what the
-isomorphism criterion scans.
+isomorphism criterion scans.  It holds nothing but those rows: the images
+the criterion scans are computed from the digits of the members of S
+alone, and no table over Z_{p^t} or Z_n is built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterator
 
 from .keys import Key, _check_key_row
 from .zn import DomainError, Factorization, InternalConsistencyError, is_prime
-from .zn import crt_decode, crt_encode, factorize
+from .zn import crt_decode, crt_encode
 
 
 @dataclass(frozen=True)
@@ -110,9 +112,18 @@ def genuine_multipliers_prime_power(
     For t = 1 the congruence chain is vacuous and the rows are exactly the
     nonzero residues mod p.
     """
+    return _genuine_rows(tuple(row), p, t)
+
+
+# Genuine-row lists kept at once, one per (key row, p, t).
+ROW_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=ROW_CACHE_SIZE)
+def _genuine_rows(row: tuple[int, ...], p: int, t: int) -> tuple[tuple[int, ...], ...]:
     if not is_prime(p) or t < 1:
         raise DomainError("prime power required")
-    _check_key_row(tuple(row), t)
+    _check_key_row(row, t)
     out: list[tuple[int, ...]] = []
 
     def extend(prefix: list[int]) -> None:
@@ -133,52 +144,29 @@ def genuine_multipliers_prime_power(
     return tuple(out)
 
 
-# Per-prime image tables kept at once; each entry holds one table of size
-# p^t per genuine row of one key row.
-TABLE_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _image_tables(
-    row: tuple[int, ...], p: int, t: int, n: int
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(genuine row, table) per genuine row of the key row; the table maps
-    residue c of Z_{p^t} to its image times the CRT idempotent of p^t in Z_n."""
-    q = p**t
-    f = factorize(n)
-    idempotent = f.idempotents[f.parts.index((p, t))]
-    tables = []
-    for genuine in genuine_multipliers_prime_power(row, p, t):
-        table = [0]
-        for i in range(t):  # digit i of c picks up the factor m_{t-i}
-            step = genuine[t - 1 - i] * p**i
-            table = [y + d * step for d in range(p) for y in table]
-        tables.append((genuine, tuple(y % q * idempotent % n for y in table)))
-    return tuple(tables)
-
-
 class SolvingSet:
     """The genuine multipliers of a key, deterministically ordered.
 
-    Iteration walks the cartesian product of the per-prime genuine rows in
-    ascending-prime, lexicographic order and is repeatable.  ``images`` maps
-    a member tuple through the same product in the same order by per-prime
-    image tables, without building any permutation of Z_n.
+    Holds only the per-prime genuine rows.  Iteration walks their cartesian
+    product in ascending-prime, lexicographic order and is repeatable.
+    ``images`` maps a member tuple through the same product in the same
+    order, acting on the members' p-adic digits alone: no permutation of
+    Z_n and no table over Z_{p^t} is built.
     """
 
     def __init__(self, key: Key):
         self.key = key
         f = key.factorization
-        self._tables = tuple(
-            _image_tables(row, p, t, f.n) for (p, t), row in zip(f.parts, key.rows)
+        self._rows = tuple(
+            genuine_multipliers_prime_power(row, p, t)
+            for (p, t), row in zip(f.parts, key.rows)
         )
 
     def __len__(self) -> int:
-        return math.prod(map(len, self._tables))
+        return math.prod(map(len, self._rows))
 
     def __iter__(self) -> Iterator[GenuineMultiplier]:
-        for combo in product(*self._tables):
-            rows = tuple(row for row, _ in combo)
+        for rows in product(*self._rows):
             yield GenuineMultiplier(self.key.factorization, rows, self.key)
 
     def images(
@@ -186,14 +174,26 @@ class SolvingSet:
     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """(rows, sorted image of members) per multiplier, in iteration order.
 
-        The image of x is the sum of table_q[x mod q] over the prime powers
-        q of n, reduced mod n.
+        Row m acts on x through the digits x_i of x mod p^t, as
+        sum m_{t-i} x_i p^i times the CRT idempotent e of p^t; the image of
+        x is the sum of these terms over the prime powers of n, mod n.
         """
-        n = self.key.factorization.n
-        per_prime = [
-            [(row, [table[x % len(table)] for x in members]) for row, table in tables]
-            for tables in self._tables
-        ]
+        f = self.key.factorization
+        n = f.n
+        per_prime = []
+        for (p, t), e, genuine in zip(f.parts, f.idempotents, self._rows):
+            # column a: the term x_i p^i e of each member, i = t - 1 - a,
+            # which entry a of a row scales
+            first, *rest = [
+                [x // p**i % p * p**i * e for x in members] for i in reversed(range(t))
+            ]
+            images = []
+            for row in genuine:
+                ys = [row[0] * c for c in first]
+                for m, column in zip(row[1:], rest):
+                    ys = [y + m * c for y, c in zip(ys, column)]
+                images.append((row, ys))
+            per_prime.append(images)
         for combo in product(*per_prime):
             rows = tuple(row for row, _ in combo)
             parts = zip(*(part for _, part in combo))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, islice, product
 
 from circulant_ci.cayley import (
     CayleyDigraph,
@@ -50,6 +50,12 @@ PAIR_SAMPLE_LIMIT = 1500
 # parts, so the keys are far from zero
 COSET_UNION_MODULI = (32, 48, 64, 72, 96, 108, 128, 144, 192, 216, 243, 256)
 COSET_UNIONS_PER_MODULUS = 12
+# moduli of the seeded coset unions whose solving-set images are compared
+# with as_permutation: up to eight p-adic digits and up to three primes
+ACTION_MODULI = (128, 216, 243, 256, 384, 600)
+ACTION_SETS_PER_MODULUS = 4
+# multipliers compared per set, spread evenly over the solving set
+ACTION_MULTIPLIERS_PER_SET = 6
 PARTITIONS_PER_MODULUS = 6
 
 
@@ -255,6 +261,21 @@ def _two_classes(n: int, members) -> ZnPartition:
     return ZnPartition.from_classes(n, [inside, [x for x in range(n) if x not in inside]])
 
 
+def _coset_union(rng: random.Random, n: int) -> ConnectionSet:
+    """Cosets of up to three subgroups of Z_n, plus a stray residue three
+    times in ten: sets whose keys are far from zero."""
+    orders = [d for d in range(1, n) if n % d == 0]
+    members = set()
+    for _ in range(rng.randint(1, 3)):
+        step = n // rng.choice(orders)
+        for shift in rng.sample(range(1, step), min(step - 1, rng.randint(1, 3))):
+            members.update(range(shift, n + shift, step))
+    members = {x % n for x in members} - {0}
+    if rng.random() < 0.3:
+        members.add(rng.randrange(1, n))
+    return ConnectionSet(n, tuple(sorted(members)))
+
+
 def check_monotonicity(n_max: int = 100) -> int:
     """key a <= key b forces the partition of a to refine the partition of b."""
     rng = random.Random(SEED)
@@ -284,7 +305,9 @@ def check_multiplier_action(n_max: int = 72) -> int:
     """Every solving-set permutation is a bijection carrying key-partition
     classes onto key-partition classes, and SolvingSet.images yields the
     multiplier rows and the class images of the reference permutation
-    (as_permutation) in iteration order."""
+    (as_permutation) in iteration order, for every key with n <= n_max;
+    on seeded coset unions at the ACTION_MODULI, images of the set agree
+    with the reference on an evenly spread sample of the solving set."""
     checked = 0
     for n in range(2, n_max + 1):
         for k in enumerate_keys(factorize(n)):
@@ -303,6 +326,22 @@ def check_multiplier_action(n_max: int = 72) -> int:
                     assert rows == m.rows, (n, k, m, rows)
                     assert fast == image, (n, k, m, cls)
                     assert image == class_of[perm[cls[0]]], (n, k, m, cls)
+                checked += 1
+    rng = random.Random(SEED)
+    for n in ACTION_MODULI:
+        for _ in range(ACTION_SETS_PER_MODULUS):
+            s = _coset_union(rng, n)
+            ss = solving_set(key_of_set(s))
+            step = -(-len(ss) // ACTION_MULTIPLIERS_PER_SET)
+            sample = zip(
+                islice(ss, 0, None, step),
+                islice(ss.images(s.members), 0, None, step),
+                strict=True,
+            )
+            for m, (rows, fast) in sample:
+                perm = as_permutation(m)
+                assert rows == m.rows, (n, s.members, m, rows)
+                assert fast == tuple(sorted(perm[x] for x in s.members)), (n, s.members, m)
                 checked += 1
     return checked
 
@@ -355,17 +394,8 @@ def check_key_against_lattice(n_max: int = 16, partition_n_max: int = 72) -> int
                 checked += 1
     rng = random.Random(SEED)
     for n in COSET_UNION_MODULI:
-        orders = [d for d in range(1, n) if n % d == 0]
         for _ in range(COSET_UNIONS_PER_MODULUS):
-            members = set()
-            for _ in range(rng.randint(1, 3)):  # cosets of up to three subgroups
-                step = n // rng.choice(orders)
-                for shift in rng.sample(range(1, step), min(step - 1, rng.randint(1, 3))):
-                    members.update(range(shift, n + shift, step))
-            members = {x % n for x in members} - {0}
-            if rng.random() < 0.3:
-                members.add(rng.randrange(1, n))
-            s = ConnectionSet(n, tuple(sorted(members)))
+            s = _coset_union(rng, n)
             expected = lattice_key_of_partition(_two_classes(n, s.members))
             assert key_of_set(s) == expected, (n, s.members)
             checked += 1

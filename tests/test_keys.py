@@ -14,10 +14,9 @@ from circulant_ci.keys import (
     key_of_partition,
     key_of_set,
     key_partition,
-    key_partition_prime,
     zero_key,
 )
-from circulant_ci.zn import DomainError, factorize, units
+from circulant_ci.zn import DomainError, Factorization, factorize, units
 
 
 def _key(n, *rows):
@@ -96,18 +95,16 @@ def test_lattice_closure():
                 key_join(a, b)  # the constructor validates the invariants
 
 
-def test_key_partition_prime_examples():
-    assert key_partition_prime((0, 1), 3, 2).classes == (
+def test_key_partition_prime_power_examples():
+    assert key_partition(_key(9, (0, 1))).classes == (
         (0,),
         (1, 4, 7),
         (2, 5, 8),
         (3,),
         (6,),
     )
-    assert key_partition_prime((0, 0), 5, 2).classes == tuple(
-        (x,) for x in range(25)
-    )
-    assert key_partition_prime((0, 0, 1), 2, 3).classes == (
+    assert key_partition(_key(25, (0, 0))).classes == tuple((x,) for x in range(25))
+    assert key_partition(_key(8, (0, 0, 1))).classes == (
         (0,),
         (1, 5),
         (2,),
@@ -116,7 +113,7 @@ def test_key_partition_prime_examples():
         (6,),
     )
     with pytest.raises(DomainError, match="not prime"):
-        key_partition_prime((0, 1), 4, 2)
+        Factorization(16, ((4, 2),))
 
 
 def test_key_partition_product():
@@ -125,8 +122,13 @@ def test_key_partition_product():
     pi = key_partition(Key(f, ((0, 1), (0, 0))))
     assert len(pi.classes) == 27
     assert sorted(len(c) for c in pi.classes) == [1] * 18 + [2] * 9
-    # a single prime power agrees with the prime version
-    assert key_partition(_key(9, (0, 1))) == key_partition_prime((0, 1), 3, 2)
+    # the classes are the CRT products of the classes of the one-row keys
+    four = {x: c for c in key_partition(_key(4, (0, 1))).classes for x in c}
+    nine = {x: c for c in key_partition(_key(9, (0, 0))).classes for x in c}
+    groups = {}
+    for x in range(36):
+        groups.setdefault((four[x % 4], nine[x % 9]), []).append(x)
+    assert pi == ZnPartition.from_classes(36, groups.values())
 
 
 def test_refines():

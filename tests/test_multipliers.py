@@ -95,6 +95,10 @@ def test_genuine_rows_examples():
         (1, 3, 3),
     )
     assert genuine_multipliers_prime_power((0,), 5, 1) == ((1,), (2,), (3,), (4,))
+    # a list row is accepted and gives the rows of the tuple
+    assert genuine_multipliers_prime_power([0, 1], 3, 2) == (
+        genuine_multipliers_prime_power((0, 1), 3, 2)
+    )
 
 
 def test_genuine_validation():

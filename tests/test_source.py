@@ -50,12 +50,17 @@ def _decorator_name(node: ast.expr) -> str | None:
     return None
 
 
-def _finite_maxsize(node: ast.expr) -> bool:
-    # lru_cache(maxsize=<not None>) or lru_cache(<not None>); a bare
-    # @lru_cache or @cache states no bound
+def _maxsizes(node: ast.expr) -> list[ast.expr]:
+    # the maxsize of lru_cache(maxsize=...) or lru_cache(...); none for a
+    # bare @lru_cache or @cache
     if not isinstance(node, ast.Call):
-        return False
-    sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+        return []
+    return [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+
+
+def _finite_maxsize(node: ast.expr) -> bool:
+    # a bare @lru_cache or @cache, or maxsize=None, states no bound
+    sizes = _maxsizes(node)
     return bool(sizes) and not (
         isinstance(sizes[0], ast.Constant) and sizes[0].value is None
     )
@@ -63,25 +68,41 @@ def _finite_maxsize(node: ast.expr) -> bool:
 
 def test_every_cache_is_bounded():
     # memory stays flat over long sweeps only if no cache grows without bound;
-    # the list of cached functions is pinned, so a new cache is a decision
+    # the list of cached functions is pinned, so a new cache is a decision,
+    # and every *_CACHE_SIZE constant bounds some cache, so none is orphaned
     found = []
     cached = []
+    constants = []
+    bounds = set()
     for path, tree in _trees():
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                constants += [
+                    f"{path.stem}.{t.id}"
+                    for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.endswith("_CACHE_SIZE")
+                ]
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for dec in node.decorator_list:
                     name = _decorator_name(dec)
                     if name in ("cache", "lru_cache"):
                         cached.append(f"{path.stem}.{node.name}")
+                        bounds.update(
+                            f"{path.stem}.{size.id}"
+                            for size in _maxsizes(dec)
+                            if isinstance(size, ast.Name)
+                        )
                     if name == "cache" or (name == "lru_cache" and not _finite_maxsize(dec)):
                         found.append(f"{path.name}:{dec.lineno} {node.name}")
     assert not found, found
     assert sorted(cached) == [
         "keys.key_partition",
-        "multipliers._image_tables",
+        "multipliers._genuine_rows",
         "zn.factorize",
         "zn.units",
     ]
+    assert constants and sorted(set(constants) - bounds) == []
 
 
 def _attribute_reads(node: ast.AST, attr: str, scope: str = ""):
