@@ -24,7 +24,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .cayley import MODES, ConnectionSet, orbit_members
-from .keys import Key, almost_zero_key, key_of_set, zero_key
+from .keys import Key, key_of_set
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
     DomainError,
@@ -123,7 +123,7 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
         return IsoVerdict(False, "key-mismatch")
     for rows, image in solving_set(ks).images(s.members):
         if image == t.members:
-            m = GenuineMultiplier(ks.factorization, rows, ks)
+            m = GenuineMultiplier(rows, ks)
             return IsoVerdict(True, "multiplier-found", m)
     return IsoVerdict(False, "exhausted")
 
@@ -251,13 +251,6 @@ def recognize_coset_case(s: ConnectionSet) -> CosetCase | None:
     return None
 
 
-def _coset_fast_path(s: ConnectionSet) -> CiVerdict | None:
-    case = recognize_coset_case(s)
-    if case is None:
-        return None
-    return CiVerdict(True, None, f"coset-case-{case.case}")
-
-
 def decide_ci(s: ConnectionSet) -> CiVerdict:
     """CI decision pipeline: zero-key shortcut, coset shapes, then the
     reduction to the generated subgroup with a full scan.  The key of S is
@@ -270,12 +263,14 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     if not s.members:
         return CiVerdict(True)
     k = key_of_set(s)
-    f = k.factorization
-    if k == zero_key(f) or (s.n % 8 == 4 and k == almost_zero_key(f)):
+    # rows are nondecreasing, so a row is zero iff its last entry is; with
+    # n = 4 (mod 8) the 2-row is (0, 1) exactly when its last entry is 1
+    last = [row[-1] for row in k.rows]
+    if not any(last) or (s.n % 8 == 4 and last[0] == 1 and not any(last[1:])):
         return CiVerdict(True, None, "zero-key")
-    verdict = _coset_fast_path(s)
-    if verdict is not None:
-        return verdict
+    case = recognize_coset_case(s)
+    if case is not None:
+        return CiVerdict(True, None, f"coset-case-{case.case}")
     return _is_ci_reduced(s, k)
 
 

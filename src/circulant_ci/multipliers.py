@@ -10,8 +10,9 @@ m_{i+1} = m_i (mod p^(i - k_{i+1})).
 The solving set of a key combines the per-prime genuine rows across the
 ascending primes of n; its induced permutations are exactly what the
 isomorphism criterion scans.  It holds nothing but those rows: the images
-the criterion scans are computed from the digits of the members of S
-alone, and no table over Z_{p^t} or Z_n is built.
+the criterion scans are computed lazily, one multiplier at a time as the
+scan reaches it, from the digits of the members of S alone, and no table
+over Z_{p^t} or Z_n is built.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from operator import mul
 from typing import Iterator
 
 from .keys import Key, _check_key_row
-from .zn import DomainError, Factorization, InternalConsistencyError, is_prime
+from .zn import DomainError, InternalConsistencyError, is_prime
 from .zn import crt_decode, crt_encode
 
 
@@ -37,20 +39,17 @@ class GenuineMultiplier:
     is [1, p - 1].
     """
 
-    factorization: Factorization
     rows: tuple[tuple[int, ...], ...]
     key: Key
 
     def __post_init__(self) -> None:
-        parts = self.factorization.parts
+        parts = self.key.factorization.parts
         if not isinstance(self.rows, tuple) or not all(
             isinstance(row, tuple) for row in self.rows
         ):
             raise DomainError("multiplier rows must be a tuple of tuples")
         if len(self.rows) != len(parts):
             raise DomainError("one multiplier row per prime power required")
-        if self.key.factorization != self.factorization:
-            raise DomainError("genuine multiplier must carry a key of the same n")
         for (p, t), row, krow in zip(parts, self.rows, self.key.rows):
             if len(row) != t:
                 raise DomainError(f"multiplier row for {p}^{t} must have length {t}")
@@ -90,7 +89,7 @@ def apply_multiplier_prime(row: tuple[int, ...], x: int, p: int, t: int) -> int:
 
 def apply_multiplier(m: GenuineMultiplier, x: int) -> int:
     """Image of x in Z_n: encode, act per prime power, decode."""
-    f = m.factorization
+    f = m.key.factorization
     components = crt_encode(x, f)
     images = tuple(
         apply_multiplier_prime(row, c, p, t)
@@ -101,7 +100,7 @@ def apply_multiplier(m: GenuineMultiplier, x: int) -> int:
 
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n."""
-    return tuple(apply_multiplier(m, x) for x in range(m.factorization.n))
+    return tuple(apply_multiplier(m, x) for x in range(m.key.factorization.n))
 
 
 def genuine_multipliers_prime_power(
@@ -150,8 +149,9 @@ class SolvingSet:
     Holds only the per-prime genuine rows.  Iteration walks their cartesian
     product in ascending-prime, lexicographic order and is repeatable.
     ``images`` maps a member tuple through the same product in the same
-    order, acting on the members' p-adic digits alone: no permutation of
-    Z_n and no table over Z_{p^t} is built.
+    order, lazily, acting on the members' p-adic digits alone: no
+    permutation of Z_n and no table over Z_{p^t} is built, and a scan that
+    stops early computes no image past the multiplier it stops at.
     """
 
     def __init__(self, key: Key):
@@ -167,7 +167,7 @@ class SolvingSet:
 
     def __iter__(self) -> Iterator[GenuineMultiplier]:
         for rows in product(*self._rows):
-            yield GenuineMultiplier(self.key.factorization, rows, self.key)
+            yield GenuineMultiplier(rows, self.key)
 
     def images(
         self, members: tuple[int, ...]
@@ -176,28 +176,25 @@ class SolvingSet:
 
         Row m acts on x through the digits x_i of x mod p^t, as
         sum m_{t-i} x_i p^i times the CRT idempotent e of p^t; the image of
-        x is the sum of these terms over the prime powers of n, mod n.
+        x is the sum of these terms over the prime powers of n, mod n.  The
+        terms are computed once per call, and a multiplier's images only
+        when the scan reaches it.
         """
         f = self.key.factorization
         n = f.n
-        per_prime = []
-        for (p, t), e, genuine in zip(f.parts, f.idempotents, self._rows):
-            # column a: the term x_i p^i e of each member, i = t - 1 - a,
-            # which entry a of a row scales
-            first, *rest = [
-                [x // p**i % p * p**i * e for x in members] for i in reversed(range(t))
-            ]
-            images = []
-            for row in genuine:
-                ys = [row[0] * c for c in first]
-                for m, column in zip(row[1:], rest):
-                    ys = [y + m * c for y, c in zip(ys, column)]
-                images.append((row, ys))
-            per_prime.append(images)
-        for combo in product(*per_prime):
-            rows = tuple(row for row, _ in combo)
-            parts = zip(*(part for _, part in combo))
-            yield rows, tuple(sorted(sum(ys) % n for ys in parts))
+        # per member, the term x_i p^i e that each row entry scales, in the
+        # order of the entries: entry a of the row of p^t scales i = t - 1 - a
+        terms = [
+            tuple(
+                x // p**i % p * p**i * e
+                for (p, t), e in zip(f.parts, f.idempotents)
+                for i in reversed(range(t))
+            )
+            for x in members
+        ]
+        for rows in product(*self._rows):
+            entries = [m for row in rows for m in row]
+            yield rows, tuple(sorted(sum(map(mul, entries, xt)) % n for xt in terms))
 
 
 def solving_set(k: Key) -> SolvingSet:

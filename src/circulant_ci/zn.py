@@ -65,7 +65,7 @@ class Factorization:
         if prod != self.n:
             raise DomainError(f"prime powers multiply to {prod}, not {self.n}")
 
-    @property
+    @cached_property
     def prime_powers(self) -> tuple[int, ...]:
         return tuple(p**t for p, t in self.parts)
 

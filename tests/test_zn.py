@@ -73,6 +73,7 @@ def test_idempotents_are_the_crt_basis():
     for n in range(2, 201):
         f = factorize(n)
         qs = f.prime_powers
+        assert f.prime_powers is qs
         for e, q in zip(f.idempotents, qs):
             assert 0 <= e < n
             assert [e % r for r in qs] == [int(r == q) for r in qs]
