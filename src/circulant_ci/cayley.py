@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .zn import DomainError, InternalConsistencyError, units
 
@@ -54,28 +55,27 @@ class ConnectionSet:
     def valency(self) -> int:
         return len(self.members)
 
-    def __str__(self) -> str:
-        return "{%s}" % ",".join(map(str, self.members))
-
 
 @dataclass(frozen=True)
 class CayleyDigraph:
-    """Vertex set Z_n with the arc (g, s+g) for every member s."""
+    """Vertex set Z_n with the arc (g, s+g) for every member s: the arcs are
+    derived from S, so every CayleyDigraph is translation-invariant."""
 
     connection: ConnectionSet
-    adjacency: tuple[frozenset[int], ...]
 
     @property
     def n(self) -> int:
         return self.connection.n
 
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Out-neighbours of every vertex g: the translate S + g."""
+        n, members = self.n, self.connection.members
+        return tuple(frozenset((g + m) % n for m in members) for g in range(n))
+
 
 def build_cayley(s: ConnectionSet) -> CayleyDigraph:
-    n = s.n
-    adjacency = tuple(
-        frozenset((g + m) % n for m in s.members) for g in range(n)
-    )
-    return CayleyDigraph(s, adjacency)
+    return CayleyDigraph(s)
 
 
 def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
@@ -118,12 +118,9 @@ def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
 
 
 def _out_in(g: CayleyDigraph):
-    """Out- and in-neighbours of every vertex, as translates of S and -S;
-    DomainError when the adjacency of `g` is not the translates of S."""
+    """Out- and in-neighbours of every vertex, as translates of S and -S."""
     n, members = g.n, g.connection.members
     out = [[(v + s) % n for s in members] for v in range(n)]
-    if g.adjacency != tuple(map(frozenset, out)):
-        raise DomainError("adjacency is not the translates of the connection set")
     return out, [[(v - s) % n for s in members] for v in range(n)]
 
 
@@ -152,8 +149,6 @@ def brute_force_isomorphism(
     Exact: refinement is isomorphism-invariant, so an isomorphism that
     fixes 0 keeps its colours equal along the branch that follows it, and
     every candidate w is tried; no branch is cut for any other reason.
-    Adjacency that is not the translates of the connection set is refused
-    with DomainError, because step 1 needs it.
     """
     if a.n != b.n:
         raise DomainError("digraphs live over different Z_n")
@@ -195,7 +190,7 @@ def brute_force_isomorphism(
     if mapping is not None and (
         len(set(mapping)) != n
         or any(
-            {mapping[x] for x in a.adjacency[v]} != b.adjacency[mapping[v]]
+            {mapping[x] for x in a_out[v]} != set(b_out[mapping[v]])
             for v in range(n)
         )
     ):

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import engine
 from .cayley import (
+    MODES,
     ConnectionSet,
     OracleCutoffError,
     brute_force_isomorphism,
@@ -30,6 +31,8 @@ from .cayley import (
 from .engine import ClassificationReport, DisagreementError
 from .keys import key_of_set, key_partition
 from .zn import DomainError
+
+FORMATS = ("json", "csv", "text")
 
 
 @dataclass
@@ -43,7 +46,7 @@ class RunConfig:
             raise DomainError("oracle_cutoff must be at least 2")
         if self.workers < 1:
             raise DomainError("workers must be at least 1")
-        if self.output_format not in ("json", "csv", "text"):
+        if self.output_format not in FORMATS:
             raise DomainError("output_format must be json, csv or text")
 
 
@@ -307,12 +310,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="circulant-ci",
         description="Exact isomorphism and CI-property engine for circulant (di)graphs.",
     )
-    parser.add_argument("--format", choices=("json", "csv", "text"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--oracle-cutoff", type=int, default=None, dest="oracle_cutoff")
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value file mirroring the run configuration")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one declaration of --mode, shared by every command that takes it
+    mode_parent = argparse.ArgumentParser(add_help=False)
+    mode_parent.add_argument("--mode", choices=MODES, default="digraph")
+
+    def add_moded(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[mode_parent], help=help)
 
     p_key = sub.add_parser("key", help="key of a connection set")
     p_key.add_argument("n", type=int)
@@ -321,40 +330,35 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also print the key partition")
     p_key.set_defaults(func=cmd_key)
 
-    p_iso = sub.add_parser("iso", help="decide isomorphism of two circulants")
+    p_iso = add_moded("iso", "decide isomorphism of two circulants")
     p_iso.add_argument("n", type=int)
     p_iso.add_argument("s")
     p_iso.add_argument("t")
-    p_iso.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
     p_iso.add_argument("--oracle", action="store_true",
                        help="cross-check against the brute-force oracle")
     p_iso.add_argument("--close-inverses", action="store_true")
     p_iso.set_defaults(func=cmd_iso)
 
-    p_ci = sub.add_parser("ci", help="decide the CI property of a connection set")
+    p_ci = add_moded("ci", "decide the CI property of a connection set")
     p_ci.add_argument("n", type=int)
     p_ci.add_argument("set")
-    p_ci.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
     p_ci.add_argument("--close-inverses", action="store_true")
     p_ci.set_defaults(func=cmd_ci)
 
-    p_cls = sub.add_parser("classify", help="exhaustive group property at one (n, m)")
+    p_cls = add_moded("classify", "exhaustive group property at one (n, m)")
     p_cls.add_argument("n", type=int)
     p_cls.add_argument("m", type=int)
-    p_cls.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
     p_cls.add_argument("--dump", type=Path, default=Path("ci_disagreements.json"))
     p_cls.set_defaults(func=cmd_classify)
 
-    p_ver = sub.add_parser("verify", help="sweep all cells against the predicates")
+    p_ver = add_moded("verify", "sweep all cells against the predicates")
     p_ver.add_argument("--n-max", type=int, default=12, dest="n_max")
     p_ver.add_argument("--m-max", type=int, default=6, dest="m_max")
-    p_ver.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
     p_ver.add_argument("--dump", type=Path, default=Path("ci_disagreements.json"))
     p_ver.set_defaults(func=cmd_verify)
 
-    p_wit = sub.add_parser("witness", help="explicit non-CI families for n")
+    p_wit = add_moded("witness", "explicit non-CI families for n")
     p_wit.add_argument("n", type=int)
-    p_wit.add_argument("--mode", choices=("digraph", "graph"), default="digraph")
     p_wit.set_defaults(func=cmd_witness)
 
     return parser

@@ -105,8 +105,6 @@ def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
         raise DomainError("connection sets live over different Z_n")
     if s.mode != t.mode:
         raise DomainError("connection sets have different modes")
-    if not s.members or not t.members:
-        raise DomainError("key of the empty set is undefined")
 
 
 def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
@@ -134,8 +132,6 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     By the criterion this is the full isomorphism class of Cay(Z_n, S)
     among connection sets.  Every image is checked to carry the same key.
     """
-    if not s.members:
-        raise DomainError("key of the empty set is undefined")
     k = key_of_set(s)
     images = {image for _, image in solving_set(k).images(s.members)}
     out = []
@@ -321,8 +317,6 @@ def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     Single valencies carry no closed-form predicate (those quantify over
     all valencies up to m), so the predicate fields stay None here.
     """
-    _check_mode(mode)
-    _check_nm(n, m)
     counterexamples = []
     for mem in orbit_representatives(n, m, mode):
         s = ConnectionSet(n, mem, mode)
@@ -361,12 +355,12 @@ def _group_reports(task: tuple[int, tuple[int, ...], str]) -> list[Classificatio
         holds = failed is None or failed.m > m
         counterexamples = () if holds else failed.counterexamples
         failed_at = None if holds else failed.m
-        if mode == "digraph" and m >= 3:
-            predicate = predicate_mdci(n, m)
-        elif mode == "graph" and m >= 6:
-            predicate = predicate_mci(n, m)
-        else:
+        if m < _LEAST_M[mode]:
             predicate = None
+        elif mode == "digraph":
+            predicate = predicate_mdci(n, m)
+        else:
+            predicate = predicate_mci(n, m)
         agreement = None if predicate is None else predicate == holds
         reports.append(
             ClassificationReport(
@@ -374,6 +368,12 @@ def _group_reports(task: tuple[int, tuple[int, ...], str]) -> list[Classificatio
             )
         )
     return reports
+
+
+# the least valency with a closed-form predicate, per mode
+_LEAST_M = {"digraph": 3, "graph": 6}
+# the orders that are CI-groups without meeting the DCI condition
+_CI_EXCEPTIONS = (8, 9, 18)
 
 
 def _no_square_below(n: int, bound: float) -> bool:
@@ -388,8 +388,8 @@ def _no_square_below(n: int, bound: float) -> bool:
 def predicate_mdci(n: int, m: int) -> bool:
     """Closed form for the cumulative digraph property at valency m:
     n divisible by neither 8 nor p^2 for any odd prime p < m."""
-    if m < 3:
-        raise DomainError("predicate stated only for m ≥ 3")
+    if m < _LEAST_M["digraph"]:
+        raise DomainError(f"predicate stated only for m ≥ {_LEAST_M['digraph']}")
     return _no_square_below(n, m)
 
 
@@ -397,9 +397,9 @@ def predicate_mci(n: int, m: int) -> bool:
     """Closed form for the cumulative graph property at valency m: the three
     exceptional orders, or n divisible by neither 8 nor p^2 for any odd
     prime p < (m-1)/2."""
-    if m < 6:
-        raise DomainError("predicate stated only for m ≥ 6")
-    return n in (8, 9, 18) or _no_square_below(n, (m - 1) / 2)
+    if m < _LEAST_M["graph"]:
+        raise DomainError(f"predicate stated only for m ≥ {_LEAST_M['graph']}")
+    return n in _CI_EXCEPTIONS or _no_square_below(n, (m - 1) / 2)
 
 
 def predicate_dci_group(n: int) -> bool:
@@ -409,7 +409,7 @@ def predicate_dci_group(n: int) -> bool:
 
 def predicate_ci_group(n: int) -> bool:
     """The DCI condition relaxed by the three exceptional orders."""
-    return n in (8, 9, 18) or _no_square_below(n, math.inf)
+    return n in _CI_EXCEPTIONS or _no_square_below(n, math.inf)
 
 
 def _lift(members: Iterable[int], n: int, q: int) -> tuple[int, ...]:
@@ -440,7 +440,7 @@ def witnesses(n: int, mode: str = "digraph") -> tuple[WitnessFamily, ...]:
                 base = sorted(set(range(1, q, p)) | {p})
                 families.append((f"z{q}-coset-plus-p", _lift(base, n, q)))
     else:
-        if n not in (8, 9, 18):
+        if n not in _CI_EXCEPTIONS:
             if n % 8 == 0:
                 members = sorted((1, n - 1, 2, n - 2, n // 2 - 1, n // 2 + 1))
                 families.append(("mod8-graph", tuple(members)))
@@ -479,7 +479,7 @@ def verify_theorems(
     modulus is one task, and the reports come back in task order.
     """
     _check_mode(mode)
-    lo = 3 if mode == "digraph" else 6  # the least m with a closed form
+    lo = _LEAST_M[mode]
     tasks = []
     for n in range(2, n_max + 1):
         ms = tuple(range(lo, min(m_max, n - 1) + 1))

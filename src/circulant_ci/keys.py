@@ -73,9 +73,6 @@ class Key:
         """Serialization form: nested integer arrays in ascending-prime order."""
         return [list(row) for row in self.rows]
 
-    def __str__(self) -> str:
-        return str(self.as_lists())
-
 
 def zero_key(f: Factorization) -> Key:
     """The all-zero key, bottom of the lattice."""

@@ -25,7 +25,7 @@ from operator import mul
 from typing import Iterator
 
 from .keys import Key, _check_key_row
-from .zn import DomainError, InternalConsistencyError, is_prime
+from .zn import DomainError, is_prime
 from .zn import crt_decode, crt_encode
 
 
@@ -33,10 +33,9 @@ from .zn import crt_decode, crt_encode
 class GenuineMultiplier:
     """A generalized multiplier in the normal form of its key.
 
-    One row per prime power of n.  Every entry lies in its genuine range and
-    consecutive entries keep the congruence chain, which makes every entry
-    coprime to p: each is congruent mod p to the one before it, or its range
-    is [1, p - 1].
+    One row per prime power of n, each one of the genuine rows that
+    ``_genuine_rows`` generates for the key's row: that generator is the
+    only statement of the normal form.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -51,20 +50,11 @@ class GenuineMultiplier:
         if len(self.rows) != len(parts):
             raise DomainError("one multiplier row per prime power required")
         for (p, t), row, krow in zip(parts, self.rows, self.key.rows):
-            if len(row) != t:
-                raise DomainError(f"multiplier row for {p}^{t} must have length {t}")
-            for a in range(t):
-                bound = p ** (a + 1 - krow[a])
-                if bound < 2:  # k_j < j keeps the genuine range non-empty
-                    raise InternalConsistencyError("empty genuine range")
-                if not 1 <= row[a] < bound:
-                    raise DomainError(
-                        f"entry {row[a]} outside the genuine range [1, {bound - 1}]"
-                    )
-            for a in range(t - 1):
-                mod = p ** (a + 1 - krow[a + 1])
-                if (row[a + 1] - row[a]) % mod:
-                    raise DomainError("congruence chain violated")
+            if row not in _genuine_rows(krow, p, t):
+                raise DomainError(
+                    f"multiplier row {row} for {p}^{t} lies outside its genuine "
+                    "range or breaks the congruence chain"
+                )
 
     def as_lists(self) -> list[list[int]]:
         """Serialization form mirroring the key serialization."""
@@ -130,11 +120,12 @@ def _genuine_rows(row: tuple[int, ...], p: int, t: int) -> tuple[tuple[int, ...]
         if a == t:
             out.append(tuple(prefix))
             return
-        for m in range(1, p ** (a + 1 - row[a])):
-            if m % p == 0:
-                continue
-            if a > 0 and (m - prefix[-1]) % p ** (a - row[a]):
-                continue
+        # entry a + 1 keeps the chain: it strides its range by p^(a - k_{a+1})
+        # from entry a's residue mod that step, so it is coprime to p, being
+        # congruent mod p to entry a or ranging over [1, p - 1] (step 1)
+        step = p ** (a - row[a])
+        first = prefix[-1] % step if step > 1 else 1
+        for m in range(first, p ** (a + 1 - row[a]), step):
             prefix.append(m)
             extend(prefix)
             prefix.pop()

@@ -78,10 +78,6 @@ class Factorization:
             out.append(m * pow(m, -1, q) % self.n)
         return tuple(out)
 
-    def __str__(self) -> str:
-        body = " * ".join(f"{p}^{t}" if t > 1 else str(p) for p, t in self.parts)
-        return f"{self.n} = {body}"
-
 
 # Moduli whose factorization and units are kept at once.
 MODULUS_CACHE_SIZE = 256
@@ -89,9 +85,8 @@ MODULUS_CACHE_SIZE = 256
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
-    """Unique ordered factorization by trial division."""
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
+    """Unique ordered factorization by trial division; Factorization
+    refuses n < 2."""
     parts = []
     rest = n
     p = 2

@@ -7,7 +7,8 @@ seeded and deterministic.
 
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, partition refinement, the lattice
-join as the key of a partition, and the backtracking isomorphism search.
+join as the key of a partition, the entry-by-entry rule for genuine
+multiplier rows, and the backtracking isomorphism search.
 The library's decision path uses none of them.
 """
 
@@ -41,7 +42,7 @@ from circulant_ci.keys import (
     key_of_set,
     key_partition,
 )
-from circulant_ci.multipliers import as_permutation, solving_set
+from circulant_ci.multipliers import GenuineMultiplier, as_permutation, solving_set
 from circulant_ci.zn import DomainError, Factorization, factorize
 
 SEED = 20250810
@@ -57,6 +58,11 @@ ACTION_SETS_PER_MODULUS = 4
 # multipliers compared per set, spread evenly over the solving set
 ACTION_MULTIPLIERS_PER_SET = 6
 PARTITIONS_PER_MODULUS = 6
+# prime powers p^t whose every key row and every row of small entries is
+# checked against the entry-by-entry rule for genuine rows
+GENUINE_PRIME_POWERS = (
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)
+)
 
 
 # Key lattices (and per-prime row lists) kept at once by the references below.
@@ -342,6 +348,39 @@ def check_multiplier_action(n_max: int = 72) -> int:
                 perm = as_permutation(m)
                 assert rows == m.rows, (n, s.members, m, rows)
                 assert fast == tuple(sorted(perm[x] for x in s.members)), (n, s.members, m)
+                checked += 1
+    return checked
+
+
+def genuine_row_reference(row, krow, p: int, t: int) -> bool:
+    """The genuine normal form stated entry by entry: entry m_j (j from 1)
+    lies in [1, p^(j - k_j) - 1], and m_{j+1} = m_j (mod p^(j - k_{j+1}))."""
+    if len(row) != t:
+        return False
+    if any(not 1 <= row[a] < p ** (a + 1 - krow[a]) for a in range(t)):
+        return False
+    return all(
+        (row[a + 1] - row[a]) % p ** (a + 1 - krow[a + 1]) == 0 for a in range(t - 1)
+    )
+
+
+def check_genuine_rows_against_reference() -> int:
+    """GenuineMultiplier accepts exactly the rows genuine_row_reference
+    accepts, for every key row of each GENUINE_PRIME_POWERS p^t and every
+    row whose entry m_j lies in 0..p^j, one past the widest range bound."""
+    checked = 0
+    for p, t in GENUINE_PRIME_POWERS:
+        f = factorize(p**t)
+        grid = [range(p**j + 1) for j in range(1, t + 1)]
+        for krow in _prime_power_key_rows(t):
+            key = Key(f, (krow,))
+            for row in product(*grid):
+                try:
+                    GenuineMultiplier((row,), key)
+                    accepted = True
+                except DomainError:
+                    accepted = False
+                assert accepted == genuine_row_reference(row, krow, p, t), (p, t, krow, row)
                 checked += 1
     return checked
 

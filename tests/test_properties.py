@@ -1,7 +1,7 @@
 """Standalone property suites: lattice monotonicity, key round trips, keys
-against the lattice join, multiplier structure, the reduction through the
-generated subgroup, and the isomorphism oracle against the backtracking
-reference."""
+against the lattice join, multiplier structure, genuine rows against the
+entry-by-entry rule, the reduction through the generated subgroup, and the
+isomorphism oracle against the backtracking reference."""
 
 import checks
 
@@ -20,6 +20,10 @@ def test_key_matches_lattice_join():
 
 def test_multiplier_bijectivity_and_class_action():
     assert checks.check_multiplier_action() > 0
+
+
+def test_genuine_multiplier_matches_entrywise_rule():
+    assert checks.check_genuine_rows_against_reference() > 0
 
 
 def test_reduction_lemma_consistency():
