@@ -159,8 +159,6 @@ def brute_force_isomorphism(
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
     a_out, a_in = _out_in(a)
     b_out, b_in = _out_in(b)
-    if a.connection.valency != b.connection.valency:
-        return None
 
     def search(ca, cb):
         refined = _joint_refinement(a_out, a_in, b_out, b_in, ca, cb)

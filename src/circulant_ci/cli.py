@@ -6,7 +6,7 @@ Exit codes: 0 success or agreement, 2 usage and parse errors,
 Machine-readable output comes from ``--format json`` or ``--format csv``.
 Each command builds its JSON document, CSV rows and text lines once and
 prints them through ``_emit``, the only reader of the output format.
-Output is byte-identical for identical inputs and config, regardless of the
+Output is byte-identical for identical inputs and flags, regardless of the
 worker count.
 """
 
@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import engine
@@ -50,55 +49,14 @@ class RunConfig:
             raise DomainError("output_format must be json, csv or text")
 
 
-_INT_FIELDS = ("oracle_cutoff", "workers")
-
-
-def _load_config_file(path: Path) -> dict:
-    known = {f.name for f in fields(RunConfig)}
-    values: dict = {}
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DomainError(f"{path}:{lineno}: expected key=value")
-        name, _, value = line.partition("=")
-        name = name.strip()
-        value = value.strip()
-        if name not in known:
-            raise DomainError(f"{path}:{lineno}: unknown config key {name!r}")
-        if name in _INT_FIELDS:
-            try:
-                values[name] = int(value)
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {name} must be an integer") from exc
-        else:
-            values[name] = value
-    return values
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, then config file, then CIRC_WORKERS, then explicit flags."""
-    values: dict = {}
-    if args.config is not None:
-        values.update(_load_config_file(args.config))
-    env_workers = os.environ.get("CIRC_WORKERS")
-    if env_workers is not None:
-        try:
-            values["workers"] = int(env_workers)
-        except ValueError as exc:
-            raise DomainError("CIRC_WORKERS must be an integer") from exc
-    if args.workers is not None:
-        values["workers"] = args.workers
-    if args.oracle_cutoff is not None:
-        values["oracle_cutoff"] = args.oracle_cutoff
-    if args.format is not None:
-        values["output_format"] = args.format
-    return RunConfig(**values)
+    """The run values from the flags; an omitted flag keeps its RunConfig default."""
+    given = {
+        "oracle_cutoff": args.oracle_cutoff,
+        "workers": args.workers,
+        "output_format": args.format,
+    }
+    return RunConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def parse_residues(text: str, n: int) -> tuple[int, ...]:
@@ -313,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=FORMATS, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--oracle-cutoff", type=int, default=None, dest="oracle_cutoff")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="key=value file mirroring the run configuration")
     sub = parser.add_subparsers(dest="command", required=True)
     # the one declaration of --mode, shared by every command that takes it
     mode_parent = argparse.ArgumentParser(add_help=False)

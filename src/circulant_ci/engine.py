@@ -428,8 +428,6 @@ def witnesses(n: int, mode: str = "digraph") -> tuple[WitnessFamily, ...]:
     the lifted double-coset set over Z_{p^2} for primes p >= 5.
     """
     _check_mode(mode)
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
     families: list[tuple[str, tuple[int, ...]]] = []
     if mode == "digraph":
         if n % 8 == 0:

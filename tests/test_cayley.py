@@ -93,6 +93,11 @@ def test_oracle_examples():
     assert brute_force_isomorphic(
         build_cayley(ConnectionSet(5, (1,))), build_cayley(ConnectionSet(5, (2,)))
     )
+    # unequal valencies: the first refinement round tells them apart
+    for s, t in (((1,), (1, 2)), ((), (1,))):
+        assert not brute_force_isomorphic(
+            build_cayley(ConnectionSet(8, s)), build_cayley(ConnectionSet(8, t))
+        )
 
 
 def test_oracle_witness_mapping_is_arc_preserving():

@@ -246,6 +246,10 @@ def test_witness_families():
     assert witnesses(30, "digraph") == ()
     assert witnesses(9, "graph") == ()  # exceptional orders carry no graph family
     assert [w.connection_set.members for w in witnesses(9, "digraph")] == [(1, 3, 4, 7)]
+    with pytest.raises(DomainError, match="at least 2"):
+        witnesses(1)
+    with pytest.raises(DomainError, match="at least 2"):
+        witnesses(0, "graph")
 
 
 def test_witnesses_applicable_ranges():
