@@ -24,6 +24,7 @@ CASES = (
     ["key", "8", "1,2,5"],
     ["key", "9", "1,4,7", "--partition"],
     ["key", "72", "4,8,12,36"],
+    ["key", "72", "4,8,12,36", "--partition"],
     ["iso", "8", "1,2,5", "2,3,7"],
     ["iso", "8", "1,2,5", "1,2,3"],
     ["iso", "8", "1,2,5", "1,5,6", "--oracle"],

@@ -186,7 +186,7 @@ def test_disagreement_dump(tmp_path, capsys):
 def test_output_matches_golden_bytes(tmp_path):
     # every command under every --format, recorded by tests/record_cli_golden.py
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 75
+    assert len(cases) == 78
     for case in cases:
         code, stdout = run_case(case["argv"], tmp_path)
         assert (code, stdout) == (case["code"], case["stdout"]), case["argv"]
