@@ -121,7 +121,7 @@ def cmd_key(args: argparse.Namespace, cfg: RunConfig) -> int:
     k = key_of_set(s)
     doc = {"n": args.n, "set": list(s.members), "key": k.as_lists()}
     if args.partition:
-        doc["partition"] = [list(c) for c in key_partition(k).classes]
+        doc["partition"] = [list(c) for c in key_partition(k)]
     text = [_compact(doc[name]) for name in ("key", "partition") if name in doc]
     _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
     return 0

@@ -134,13 +134,17 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     """
     k = key_of_set(s)
     images = {image for _, image in solving_set(k).images(s.members)}
-    out = []
-    for mem in sorted(images):
-        t = ConnectionSet(s.n, mem, s.mode)
-        if key_of_set(t) != k:
-            raise InternalConsistencyError("solving-set image changed the key")
-        out.append(t)
-    return tuple(out)
+    return tuple(_mate(s, mem, k) for mem in sorted(images))
+
+
+def _mate(s: ConnectionSet, members: tuple[int, ...], k: Key) -> ConnectionSet:
+    # a solving-set image or lifted witness of S, checked to keep S's key k
+    t = ConnectionSet(s.n, members, s.mode)
+    if key_of_set(t) != k:
+        raise InternalConsistencyError(
+            "solving-set image or lifted witness changed the key"
+        )
+    return t
 
 
 def is_ci(s: ConnectionSet) -> CiVerdict:
@@ -159,10 +163,7 @@ def _is_ci(s: ConnectionSet, k: Key) -> CiVerdict:
     orbit = set(orbit_members(s.members, s.n))
     for _, image in solving_set(k).images(s.members):
         if image not in orbit:
-            witness = ConnectionSet(s.n, image, s.mode)
-            if key_of_set(witness) != k:
-                raise InternalConsistencyError("solving-set image changed the key")
-            return CiVerdict(False, witness)
+            return CiVerdict(False, _mate(s, image, k))
     return CiVerdict(True)
 
 
@@ -190,9 +191,7 @@ def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
     verdict = is_ci(reduced)
     if verdict.is_ci:
         return CiVerdict(True, None, "reduction")
-    lifted = ConnectionSet(s.n, _lift(verdict.witness.members, s.n, n_sub), s.mode)
-    if key_of_set(lifted) != k:
-        raise InternalConsistencyError("lifted witness changed the key")
+    lifted = _mate(s, _lift(verdict.witness.members, s.n, n_sub), k)
     if lifted.members in orbit_members(s.members, s.n):
         raise InternalConsistencyError("lifted witness fell inside the unit orbit")
     return CiVerdict(False, lifted, "reduction")

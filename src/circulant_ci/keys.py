@@ -1,4 +1,4 @@
-"""Keys of Z_n, the partitions they induce, and keys of partitions and sets.
+"""Keys of Z_n, the partitions they induce, and the key of a connection set.
 
 A key assigns to every prime power p^t dividing n exactly a nondecreasing
 tuple (k_1, ..., k_t) with 0 <= k_j < j.  Each key k induces a partition of
@@ -8,29 +8,31 @@ x + H, where H sums the subgroups P_k that the per-prime rows give x; that
 is the CRT product of the per-prime classes.  Larger keys give coarser
 partitions.
 
-The key of an arbitrary partition is the join of all keys whose partition
-refines it (the coarsest refining key partition).  The key of a subset S is
-the key of the two-class partition {S, complement}; this is the invariant
-driving the circulant isomorphism criterion.
+The key of a subset S of Z_n is the join of all keys whose partition
+refines {S, complement}: the coarsest key partition of which S is a union
+of classes.  It is the invariant driving the circulant isomorphism
+criterion.
 
-Neither is computed by walking the lattice.  The refining keys form a
+It is not computed by walking the lattice.  The refining keys form a
 down-set (a smaller key refines more finely) closed under join (the class
 of x under the join of k and k' is x + P_{k_a} + P_{k'_a}, reached by steps
 of either), so the join of all of them is itself refining, and its entry
 (p, j) is at least v exactly when the smallest key with v at positions
-j..t of row p refines the partition.  That key moves only the x whose
+j..t of row p refines {S, complement}.  That key moves only the x whose
 p-part has order exponent a >= j, and moves them within x + P_v, where
 P_v, the subgroup of order p^v, is generated by n / p^v.  So the entry is
-the largest v < j passing a stabilizer test: x + n / p^v lies in the class
-of x for every such x.  The test weakens as v falls and as j rises, so each
-row is found by stepping v up while it holds, and no key partition is built.
+the largest v < j passing a stabilizer test: x + n / p^v lies in S for
+every such x in S.  Only the members of S are tested: the translation
+permutes the residues with a >= j, so keeping their part of S inside S
+keeps their part of the complement inside the complement too.  The test
+weakens as v falls and as j rises, so each row is found by stepping v up
+while it holds, and no key partition is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .zn import (
     DomainError,
@@ -92,65 +94,14 @@ def almost_zero_key(f: Factorization) -> Key:
     return Key(f, tuple(rows))
 
 
-@dataclass(frozen=True)
-class ZnPartition:
-    """A partition of Z_n in canonical form.
-
-    Classes are sorted tuples, ordered by least element, so structural
-    equality is partition equality.
-    """
-
-    n: int
-    classes: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("modulus must be at least 2")
-        if not isinstance(self.classes, tuple) or not all(
-            isinstance(cls, tuple) for cls in self.classes
-        ):
-            raise DomainError("partition classes must be a tuple of tuples")
-        seen = [False] * self.n
-        for cls in self.classes:
-            if not cls:
-                raise DomainError("partition classes must be non-empty")
-            if list(cls) != sorted(cls):
-                raise DomainError("partition classes must be sorted")
-            for x in cls:
-                if not 0 <= x < self.n:
-                    raise DomainError(f"{x} is not a canonical residue mod {self.n}")
-                if seen[x]:
-                    raise DomainError("partition classes must be disjoint")
-                seen[x] = True
-        if not all(seen):
-            raise DomainError("partition classes must cover Z_n")
-        firsts = [cls[0] for cls in self.classes]
-        if firsts != sorted(firsts):
-            raise DomainError("classes must be ordered by least element")
-
-    @classmethod
-    def from_classes(cls, n: int, groups: Iterable[Iterable[int]]) -> "ZnPartition":
-        canon = sorted(
-            (tuple(sorted(set(g))) for g in groups if g), key=lambda c: c[0]
-        )
-        return cls(n, tuple(canon))
-
-
-def _class_ids(pi: ZnPartition) -> tuple[int, ...]:
-    ids = [0] * pi.n
-    for i, cls in enumerate(pi.classes):
-        for x in cls:
-            ids[x] = i
-    return tuple(ids)
-
-
-# Key partitions kept at once; the key of a set or partition uses none of them.
+# Key partitions kept at once, for `key --partition`; key_of_set uses none.
 KEY_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=KEY_CACHE_SIZE)
-def key_partition(k: Key) -> ZnPartition:
-    """The partition of Z_n induced by a key.
+def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
+    """The partition of Z_n induced by a key, as sorted classes ordered by
+    least element.
 
     The class of x is the coset x + H, where H is the subgroup of order
     prod_p p^k and k is the row-p entry at the order exponent of x mod p^t
@@ -173,58 +124,19 @@ def key_partition(k: Key) -> ZnPartition:
         for y in coset:
             assigned[y] = True
         classes.append(tuple(coset))
-    return ZnPartition(n, tuple(classes))
-
-
-def _stabilizer_key(n: int, tested: Sequence[int], cid: Sequence[int]) -> Key:
-    """The coarsest key whose partition refines the partition of Z_n with
-    class ids ``cid``, by the stabilizer test on the residues ``tested``.
-
-    ``tested`` is all of Z_n, or, for a two-class partition, one class:
-    a translation that keeps that class inside itself on a set of residues
-    it permutes keeps the other class inside itself too.  The result is
-    checked against its definition: for every tested x and prime p with
-    entry k > 0 at the order exponent of x, x + n / p^k stays in the class
-    of x, which is exactly "the key partition refines the partition".
-    """
-    f = factorize(n)
-    rows = []
-    for p, t in f.parts:
-        q = p**t
-        exponents = [order_exponent(x % q, p, t) for x in tested]
-        row = [0] * t
-        v = 0
-        for j in range(2, t + 1):
-            moved = [x for x, a in zip(tested, exponents) if a >= j]
-            while v + 1 < j:
-                step = n // p ** (v + 1)
-                if any(cid[(x + step) % n] != cid[x] for x in moved):
-                    break
-                v += 1
-            row[j - 1] = v
-        for x, a in zip(tested, exponents):
-            if a and row[a - 1] and cid[(x + n // p ** row[a - 1]) % n] != cid[x]:
-                raise InternalConsistencyError(
-                    "key partition does not refine the partition"
-                )
-        rows.append(tuple(row))
-    return Key(f, tuple(rows))
-
-
-def key_of_partition(pi: ZnPartition) -> Key:
-    """The coarsest key whose partition refines pi: the join of every
-    refining key, found entry by entry by the stabilizer test on all of Z_n
-    (see the module docstring)."""
-    return _stabilizer_key(pi.n, range(pi.n), _class_ids(pi))
+    return tuple(classes)
 
 
 def key_of_set(s) -> Key:
-    """Key of the two-class partition {S, Z_n minus S}.
+    """The coarsest key whose partition refines {S, Z_n minus S}, found row
+    by row by the stabilizer test on the members of S (see the module
+    docstring).
 
     Accepts anything with ``n`` and ``members`` attributes (a connection
     set); S must be non-empty and exclude 0, so the complement is never
-    empty and the partition always has exactly two classes.  Only the
-    members of S go through the stabilizer test.
+    empty.  The result is checked against its definition: for every member
+    x and prime p with entry k > 0 at the order exponent of x, x + n / p^k
+    lies in S, which is exactly "the key partition refines {S, complement}".
     """
     members = tuple(s.members)
     n = s.n
@@ -237,4 +149,25 @@ def key_of_set(s) -> Key:
         if not 0 <= x < n:
             raise DomainError(f"{x} is not a canonical residue mod {n}")
         inside[x] = 1
-    return _stabilizer_key(n, members, inside)
+    f = factorize(n)
+    rows = []
+    for p, t in f.parts:
+        q = p**t
+        exponents = [order_exponent(x % q, p, t) for x in members]
+        row = [0] * t
+        v = 0
+        for j in range(2, t + 1):
+            moved = [x for x, a in zip(members, exponents) if a >= j]
+            while v + 1 < j:
+                step = n // p ** (v + 1)
+                if not all(inside[(x + step) % n] for x in moved):
+                    break
+                v += 1
+            row[j - 1] = v
+        for x, a in zip(members, exponents):
+            if a and row[a - 1] and not inside[(x + n // p ** row[a - 1]) % n]:
+                raise InternalConsistencyError(
+                    "key partition does not refine {S, complement}"
+                )
+        rows.append(tuple(row))
+    return Key(f, tuple(rows))

@@ -113,25 +113,19 @@ def _genuine_rows(row: tuple[int, ...], p: int, t: int) -> tuple[tuple[int, ...]
     if not is_prime(p) or t < 1:
         raise DomainError("prime power required")
     _check_key_row(row, t)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]) -> None:
-        a = len(prefix)
-        if a == t:
-            out.append(tuple(prefix))
-            return
+    rows: list[tuple[int, ...]] = [()]
+    for a in range(t):
         # entry a + 1 keeps the chain: it strides its range by p^(a - k_{a+1})
         # from entry a's residue mod that step, so it is coprime to p, being
         # congruent mod p to entry a or ranging over [1, p - 1] (step 1)
         step = p ** (a - row[a])
-        first = prefix[-1] % step if step > 1 else 1
-        for m in range(first, p ** (a + 1 - row[a]), step):
-            prefix.append(m)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return tuple(out)
+        bound = p ** (a + 1 - row[a])
+        rows = [
+            r + (m,)
+            for r in rows
+            for m in range(r[-1] % step if step > 1 else 1, bound, step)
+        ]
+    return tuple(rows)
 
 
 class SolvingSet:

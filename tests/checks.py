@@ -6,9 +6,10 @@ cases it verified.  Sampling, where a space is too large to exhaust, is
 seeded and deterministic.
 
 The slow references the checks compare against live here too: the whole
-key lattice with its order and join, partition refinement, the lattice
-join as the key of a partition, the entry-by-entry rule for genuine
-multiplier rows, and the backtracking isomorphism search.
+key lattice with its order and join, refinement of partitions given as
+class tuples, the lattice join as the key of such a partition, the
+entry-by-entry rule for genuine multiplier rows, and the backtracking
+isomorphism search.
 The library's decision path uses none of them.
 """
 
@@ -34,15 +35,13 @@ from circulant_ci.engine import (
     orbit_representatives,
     witnesses,
 )
-from circulant_ci.keys import (
-    Key,
-    ZnPartition,
-    _class_ids,
-    key_of_partition,
-    key_of_set,
-    key_partition,
+from circulant_ci.keys import Key, key_of_set, key_partition
+from circulant_ci.multipliers import (
+    GenuineMultiplier,
+    as_permutation,
+    genuine_multipliers_prime_power,
+    solving_set,
 )
-from circulant_ci.multipliers import GenuineMultiplier, as_permutation, solving_set
 from circulant_ci.zn import DomainError, Factorization, factorize
 
 SEED = 20250810
@@ -57,7 +56,6 @@ ACTION_MODULI = (128, 216, 243, 256, 384, 600)
 ACTION_SETS_PER_MODULUS = 4
 # multipliers compared per set, spread evenly over the solving set
 ACTION_MULTIPLIERS_PER_SET = 6
-PARTITIONS_PER_MODULUS = 6
 # prime powers p^t whose every key row and every row of small entries is
 # checked against the entry-by-entry rule for genuine rows
 GENUINE_PRIME_POWERS = (
@@ -115,38 +113,44 @@ def key_join(a: Key, b: Key) -> Key:
     )
 
 
-def refines(fine: ZnPartition, coarse: ZnPartition) -> bool:
-    """True iff every class of `coarse` is a union of classes of `fine`."""
-    if fine.n != coarse.n:
-        raise DomainError("partitions live over different Z_n")
-    cid = _class_ids(coarse)
-    for cls in fine.classes:
-        first = cid[cls[0]]
-        if any(cid[x] != first for x in cls):
-            return False
-    return True
+def _class_ids(n: int, classes) -> list[int]:
+    # the index of the class of each residue; the classes must partition Z_n
+    cid = [-1] * n
+    for i, cls in enumerate(classes):
+        for x in cls:
+            if not 0 <= x < n or cid[x] >= 0:
+                raise DomainError(f"classes do not partition Z_{n}")
+            cid[x] = i
+    if -1 in cid:
+        raise DomainError(f"classes do not partition Z_{n}")
+    return cid
+
+
+def refines(n: int, fine, coarse) -> bool:
+    """True iff every class of `coarse` is a union of classes of `fine`,
+    both partitions of Z_n given by their classes."""
+    cid = _class_ids(n, coarse)
+    return all(cid[x] == cid[cls[0]] for cls in fine for x in cls)
 
 
 @lru_cache(maxsize=2)
 def _lattice(n: int) -> tuple[tuple[Key, tuple[tuple[int, ...], ...]], ...]:
     # every key of Z_n with the classes of its partition, held here so that
     # the oracle does not depend on the size of the library's partition cache
-    return tuple((k, key_partition(k).classes) for k in enumerate_keys(factorize(n)))
+    return tuple((k, key_partition(k)) for k in enumerate_keys(factorize(n)))
 
 
-def lattice_key_of_partition(pi: ZnPartition) -> Key:
-    """Reference for key_of_partition: the join of every key of Z_n whose
-    partition refines pi, by walking the whole key lattice."""
-    cid = [0] * pi.n
-    for i, cls in enumerate(pi.classes):
-        for x in cls:
-            cid[x] = i
+def lattice_key_of_partition(n: int, classes) -> Key:
+    """The coarsest key whose partition refines the partition of Z_n with
+    the given classes: the join of every refining key, by walking the whole
+    key lattice.  The reference for key_of_set."""
+    cid = _class_ids(n, classes)
     joined = None
-    for k, classes in _lattice(pi.n):
-        if all(cid[x] == cid[cls[0]] for cls in classes for x in cls):
+    for k, key_classes in _lattice(n):
+        if all(cid[x] == cid[cls[0]] for cls in key_classes for x in cls):
             joined = k if joined is None else key_join(joined, k)
-    assert joined is not None, pi  # the zero key refines everything
-    assert refines(key_partition(joined), pi), pi
+    assert joined is not None, classes  # the zero key refines everything
+    assert refines(n, key_partition(joined), classes), classes
     return joined
 
 
@@ -262,9 +266,9 @@ def backtracking_isomorphism(
     return None
 
 
-def _two_classes(n: int, members) -> ZnPartition:
+def _two_classes(n: int, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
     inside = set(members)
-    return ZnPartition.from_classes(n, [inside, [x for x in range(n) if x not in inside]])
+    return tuple(sorted(inside)), tuple(x for x in range(n) if x not in inside)
 
 
 def _coset_union(rng: random.Random, n: int) -> ConnectionSet:
@@ -292,17 +296,17 @@ def check_monotonicity(n_max: int = 100) -> int:
         if len(pairs) > PAIR_SAMPLE_LIMIT:
             pairs = rng.sample(pairs, PAIR_SAMPLE_LIMIT)
         for a, b in pairs:
-            assert refines(key_partition(a), key_partition(b)), (n, a, b)
+            assert refines(n, key_partition(a), key_partition(b)), (n, a, b)
             checked += 1
     return checked
 
 
 def check_key_round_trip(n_max: int = 72) -> int:
-    """key_of_partition inverts key_partition on every key."""
+    """The lattice key of the partition of every key is that key."""
     checked = 0
     for n in range(2, n_max + 1):
         for k in enumerate_keys(factorize(n)):
-            assert key_of_partition(key_partition(k)) == k, (n, k)
+            assert lattice_key_of_partition(n, key_partition(k)) == k, (n, k)
             checked += 1
     return checked
 
@@ -319,15 +323,15 @@ def check_multiplier_action(n_max: int = 72) -> int:
         for k in enumerate_keys(factorize(n)):
             pi = key_partition(k)
             class_of = {}
-            for cls in pi.classes:
+            for cls in pi:
                 for x in cls:
                     class_of[x] = cls
             ss = solving_set(k)
-            per_class = [ss.images(cls) for cls in pi.classes]
+            per_class = [ss.images(cls) for cls in pi]
             for m, *mapped in zip(ss, *per_class, strict=True):
                 perm = as_permutation(m)
                 assert len(set(perm)) == n, (n, k, m)
-                for cls, (rows, fast) in zip(pi.classes, mapped):
+                for cls, (rows, fast) in zip(pi, mapped):
                     image = tuple(sorted(perm[x] for x in cls))
                     assert rows == m.rows, (n, k, m, rows)
                     assert fast == image, (n, k, m, cls)
@@ -367,21 +371,27 @@ def genuine_row_reference(row, krow, p: int, t: int) -> bool:
 def check_genuine_rows_against_reference() -> int:
     """GenuineMultiplier accepts exactly the rows genuine_row_reference
     accepts, for every key row of each GENUINE_PRIME_POWERS p^t and every
-    row whose entry m_j lies in 0..p^j, one past the widest range bound."""
+    row whose entry m_j lies in 0..p^j, one past the widest range bound;
+    and the accepted rows, in lexicographic order, are the genuine rows
+    in the order genuine_multipliers_prime_power lists them, which is the
+    order the solving-set scan visits them in."""
     checked = 0
     for p, t in GENUINE_PRIME_POWERS:
         f = factorize(p**t)
         grid = [range(p**j + 1) for j in range(1, t + 1)]
         for krow in _prime_power_key_rows(t):
             key = Key(f, (krow,))
+            kept = []
             for row in product(*grid):
                 try:
                     GenuineMultiplier((row,), key)
+                    kept.append(row)
                     accepted = True
                 except DomainError:
                     accepted = False
                 assert accepted == genuine_row_reference(row, krow, p, t), (p, t, krow, row)
                 checked += 1
+            assert tuple(kept) == genuine_multipliers_prime_power(krow, p, t), (p, t, krow)
     return checked
 
 
@@ -418,41 +428,22 @@ def check_criterion_against_oracle(n_max: int = 10) -> int:
     return checked
 
 
-def check_key_against_lattice(n_max: int = 16, partition_n_max: int = 72) -> int:
+def check_key_against_lattice(n_max: int = 16) -> int:
     """key_of_set equals the lattice join on every digraph subset for
-    n <= n_max and on seeded coset unions up to n = 256, and
-    key_of_partition equals it on seeded multi-class partitions for
-    n <= partition_n_max: coarsenings of the partitions of random non-zero
-    keys (where Z_n has one) and uniformly random colourings."""
+    n <= n_max and on seeded coset unions up to n = 256."""
     checked = 0
     for n in range(2, n_max + 1):
         for size in range(1, n):
             for members in combinations(range(1, n), size):
-                expected = lattice_key_of_partition(_two_classes(n, members))
+                expected = lattice_key_of_partition(n, _two_classes(n, members))
                 assert key_of_set(ConnectionSet(n, members)) == expected, (n, members)
                 checked += 1
     rng = random.Random(SEED)
     for n in COSET_UNION_MODULI:
         for _ in range(COSET_UNIONS_PER_MODULUS):
             s = _coset_union(rng, n)
-            expected = lattice_key_of_partition(_two_classes(n, s.members))
+            expected = lattice_key_of_partition(n, _two_classes(n, s.members))
             assert key_of_set(s) == expected, (n, s.members)
-            checked += 1
-    for n in range(2, partition_n_max + 1):
-        keys = enumerate_keys(factorize(n))
-        for i in range(PARTITIONS_PER_MODULUS):
-            colours = rng.randint(2, 4)
-            if i % 2:
-                groups = [[] for _ in range(colours)]
-                for x in range(n):
-                    groups[rng.randrange(colours)].append(x)
-            else:
-                classes = key_partition(rng.choice(keys[1:] or keys)).classes
-                groups = [[] for _ in range(colours)]
-                for cls in classes:
-                    groups[rng.randrange(colours)].extend(cls)
-            pi = ZnPartition.from_classes(n, groups)
-            assert key_of_partition(pi) == lattice_key_of_partition(pi), (n, pi)
             checked += 1
     return checked
 

@@ -9,9 +9,7 @@ from checks import _prime_power_key_rows, enumerate_keys, key_join, key_leq, ref
 from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import (
     Key,
-    ZnPartition,
     almost_zero_key,
-    key_of_partition,
     key_of_set,
     key_partition,
     zero_key,
@@ -96,15 +94,15 @@ def test_lattice_closure():
 
 
 def test_key_partition_prime_power_examples():
-    assert key_partition(_key(9, (0, 1))).classes == (
+    assert key_partition(_key(9, (0, 1))) == (
         (0,),
         (1, 4, 7),
         (2, 5, 8),
         (3,),
         (6,),
     )
-    assert key_partition(_key(25, (0, 0))).classes == tuple((x,) for x in range(25))
-    assert key_partition(_key(8, (0, 0, 1))).classes == (
+    assert key_partition(_key(25, (0, 0))) == tuple((x,) for x in range(25))
+    assert key_partition(_key(8, (0, 0, 1))) == (
         (0,),
         (1, 5),
         (2,),
@@ -118,42 +116,28 @@ def test_key_partition_prime_power_examples():
 
 def test_key_partition_product():
     f = factorize(36)
-    assert key_partition(zero_key(f)).classes == tuple((x,) for x in range(36))
+    assert key_partition(zero_key(f)) == tuple((x,) for x in range(36))
     pi = key_partition(Key(f, ((0, 1), (0, 0))))
-    assert len(pi.classes) == 27
-    assert sorted(len(c) for c in pi.classes) == [1] * 18 + [2] * 9
+    assert len(pi) == 27
+    assert sorted(len(c) for c in pi) == [1] * 18 + [2] * 9
     # the classes are the CRT products of the classes of the one-row keys
-    four = {x: c for c in key_partition(_key(4, (0, 1))).classes for x in c}
-    nine = {x: c for c in key_partition(_key(9, (0, 0))).classes for x in c}
+    four = {x: c for c in key_partition(_key(4, (0, 1))) for x in c}
+    nine = {x: c for c in key_partition(_key(9, (0, 0))) for x in c}
     groups = {}
     for x in range(36):
         groups.setdefault((four[x % 4], nine[x % 9]), []).append(x)
-    assert pi == ZnPartition.from_classes(36, groups.values())
+    assert pi == tuple(sorted(map(tuple, groups.values())))
 
 
 def test_refines():
-    singles = ZnPartition.from_classes(8, [[x] for x in range(8)])
-    whole = ZnPartition.from_classes(8, [range(8)])
-    two = ZnPartition.from_classes(8, [[1, 2, 5], [0, 3, 4, 6, 7]])
-    assert refines(singles, two)
-    assert refines(two, whole)
-    assert not refines(key_partition(_key(8, (0, 1, 1))), two)  # {2,6} straddles
+    singles = tuple((x,) for x in range(8))
+    whole = (tuple(range(8)),)
+    two = ((0, 3, 4, 6, 7), (1, 2, 5))
+    assert refines(8, singles, two)
+    assert refines(8, two, whole)
+    assert not refines(8, key_partition(_key(8, (0, 1, 1))), two)  # {2,6} straddles
     with pytest.raises(DomainError):
-        refines(singles, ZnPartition.from_classes(9, [range(9)]))
-
-
-def test_key_of_partition_examples():
-    pi = ZnPartition.from_classes(9, [[0], [3], [6], [1, 4, 7], [2, 5, 8]])
-    assert key_of_partition(pi).rows == ((0, 1),)
-    singles = ZnPartition.from_classes(36, [[x] for x in range(36)])
-    assert key_of_partition(singles) == zero_key(factorize(36))
-    # {0} apart from everything is refined by every key partition, so its
-    # key is the largest one, row (0, 1, ..., t-1) per prime power
-    for n in (8, 36, 72):
-        f = factorize(n)
-        largest = Key(f, tuple(tuple(range(t)) for _, t in f.parts))
-        pi = ZnPartition.from_classes(n, [[0], range(1, n)])
-        assert key_of_partition(pi) == largest
+        refines(8, singles, (tuple(range(9)),))
 
 
 def test_key_of_set_examples():
@@ -161,6 +145,12 @@ def test_key_of_set_examples():
     assert key_of_set(ConnectionSet(9, (1, 4, 7))).rows == ((0, 1),)
     with pytest.raises(DomainError, match="empty"):
         key_of_set(ConnectionSet(9, ()))
+    # {0} apart from everything is refined by every key partition, so the
+    # key of Z_n minus {0} is the largest one, row (0, 1, ..., t-1) per prime
+    for n in (8, 36, 72):
+        f = factorize(n)
+        largest = Key(f, tuple(tuple(range(t)) for _, t in f.parts))
+        assert key_of_set(ConnectionSet(n, tuple(range(1, n)))) == largest
 
 
 def test_unit_singletons_have_zero_key():
@@ -176,22 +166,10 @@ def test_partition_class_stats_are_unit_invariant():
     for n in (8, 9, 16, 36):
         for k in enumerate_keys(factorize(n)):
             pi = key_partition(k)
-            stats = sorted(len(c) for c in pi.classes)
+            stats = sorted(len(c) for c in pi)
             for u in units(n):
-                mult = ZnPartition.from_classes(
-                    n, [[u * x % n for x in cls] for cls in pi.classes]
-                )
-                assert sorted(len(c) for c in mult.classes) == stats
+                mult = [tuple(sorted(u * x % n for x in cls)) for cls in pi]
+                assert sorted(len(c) for c in mult) == stats
                 # in fact units permute the classes themselves
-                assert set(mult.classes) == set(pi.classes)
+                assert set(mult) == set(pi)
 
-
-def test_partition_canonical_form_enforced():
-    with pytest.raises(DomainError):
-        ZnPartition(4, ((0, 1), (1, 2, 3)))  # overlap
-    with pytest.raises(DomainError):
-        ZnPartition(4, ((0,), (2, 3)))  # not covering
-    with pytest.raises(DomainError):
-        ZnPartition(4, ((1, 2, 3), (0,)))  # wrong class order
-    with pytest.raises(DomainError, match="tuple"):
-        ZnPartition(4, ([0], [1, 2, 3]))  # list classes would be unhashable

@@ -1,5 +1,6 @@
-"""Standalone property suites: lattice monotonicity, key round trips, keys
-against the lattice join, multiplier structure, genuine rows against the
+"""Standalone property suites: lattice monotonicity, key partitions back
+to their keys through the lattice join, keys of sets against the lattice
+join, multiplier structure, genuine rows and their order against the
 entry-by-entry rule, the reduction through the generated subgroup, and the
 isomorphism oracle against the backtracking reference."""
 
