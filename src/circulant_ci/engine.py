@@ -9,10 +9,15 @@ On top of the single-set decision sit the exhaustive valency sweeps, the
 closed-form classification predicates they are checked against, the coset
 shaped fast paths, and the explicit non-CI witness families.  A sweep makes
 one pass per modulus n over the valencies 1, 2, ..., stopping at the first
-that fails, and reads the report of every m of n off that pass.  The four
-predicates share one condition: n is divisible by neither 8 nor p^2 for any
-odd prime p below a bound (m for m-DCI, (m-1)/2 for m-CI, none for the
-group forms), with 8, 9 and 18 as the CI exceptions.
+that fails, and reads the report of every m of n off that pass.  Each
+valency visits only the sets whose key is neither zero nor almost zero,
+enumerated directly rather than filtered: a set with such a key is CI with
+no scan, the key is unit-invariant, and it is non-zero at a prime p exactly
+when p^2 | n and the part of S prime to p is a union of cosets of <n/p>
+(m_property gives the argument).  The four predicates share one
+condition: n is divisible by neither 8 nor p^2 for any odd prime p below a
+bound (m for m-DCI, (m-1)/2 for m-CI, none for the group forms), with 8, 9
+and 18 as the CI exceptions.
 """
 
 from __future__ import annotations
@@ -297,29 +302,115 @@ def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]
     # odd m with odd n: no inverse-closed sets exist
 
 
+def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
+    # the tuples that are lexicographically least in their unit orbit, ascending
+    # (u = 1 maps every tuple to itself, so its test always passes)
+    tables = [tuple(u * x % n for x in range(n)) for u in units(n) if u != 1]
+    return tuple(
+        sorted(
+            mem
+            for mem in tuples
+            if all(tuple(sorted(tab[x] for x in mem)) >= mem for tab in tables)
+        )
+    )
+
+
 def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[int, ...], ...]:
     """Lexicographically least member per unit orbit, ascending."""
     _check_mode(mode)
     _check_nm(n, m)
-    # u = 1 maps every tuple to itself, so its test always passes
-    tables = [tuple(u * x % n for x in range(n)) for u in units(n) if u != 1]
-    reps = []
-    for mem in connection_set_tuples(n, m, mode):
-        if all(tuple(sorted(tab[x] for x in mem)) >= mem for tab in tables):
-            reps.append(mem)
-    return tuple(sorted(reps))
+    return _orbit_least(connection_set_tuples(n, m, mode), n)
+
+
+def _coset_closed(members: tuple[int, ...], n: int, p: int) -> bool:
+    # x + n/p lies in S for every x in S prime to p
+    inside = set(members)
+    step = n // p
+    return all((x + step) % n in inside for x in members if x % p)
+
+
+def _unions(blocks: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[int, ...]]:
+    # every union of m members from pairwise disjoint blocks, as a sorted
+    # tuple; the blocks are grouped by size and picked largest first, so the
+    # count taken from the last group is forced
+    groups: dict[int, list[tuple[int, ...]]] = {}
+    for block in blocks:
+        groups.setdefault(len(block), []).append(block)
+    sized = sorted(groups.items(), reverse=True)
+
+    def pick(i: int, left: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        size, group = sized[i]
+        if i == len(sized) - 1:
+            if left % size == 0:
+                yield from combinations(group, left // size)
+            return
+        for c in range(min(left // size, len(group)) + 1):
+            for combo in combinations(group, c):
+                for rest in pick(i + 1, left - c * size):
+                    yield combo + rest
+
+    for chosen in pick(0, m):
+        yield tuple(sorted(x for block in chosen for x in block))
+
+
+def _with_negatives(block: tuple[int, ...], n: int) -> tuple[int, ...]:
+    return tuple(sorted(set(block) | {-x % n for x in block}))
+
+
+def _key_candidates(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
+    # every size-m member tuple (graph mode: inverse-closed) whose key is
+    # neither zero nor almost zero, each once; see m_property
+    done: list[int] = []
+    for p, t in factorize(n).parts:
+        if t < 2 or (p, t) == (2, 2):
+            continue
+        step = n // p
+        cosets = [tuple(range(x, n, step)) for x in range(1, step) if x % p]
+        multiples = [(x,) for x in range(p, n, p)]
+        if mode == "graph":
+            # a block with its negative; dict keeps the first of each
+            cosets = list(dict.fromkeys(_with_negatives(c, n) for c in cosets))
+            multiples = list(dict.fromkeys(_with_negatives(b, n) for b in multiples))
+        for mem in _unions(cosets + multiples, m):
+            if not any(_coset_closed(mem, n, q) for q in done):
+                yield mem
+        done.append(p)
 
 
 def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     """Exhaustively test every valency-m connection set, one per orbit.
 
+    Only the sets whose key is neither zero nor almost zero are visited:
+    the others are CI with no scan, since their solving sets act as the
+    units (Muzychuk).  Those sets are enumerated directly.  The key of S
+    is non-zero at a prime p exactly when p^t || n with t >= 2 and
+    x + n/p lies in S for every x in S with p not dividing x, because the
+    last entry of a row bounds the rest and the stabilizer test for it
+    (j = t, step n/p) moves only the members prime to p.  So the part of
+    S prime to p is a union of cosets x + <n/p>, and the rest is any set
+    of non-zero multiples of p; in graph mode each coset joins its
+    negative, each multiple x joins n - x, and n/2 stands alone.  When
+    4 || n the only non-zero 2-row is the almost zero key, so p = 2
+    counts only when 8 | n.  A set that also meets the condition at an
+    earlier prime is skipped at the later one, so none is visited twice.  The key is
+    unit-invariant, so the least member of every unit orbit is among the
+    visited sets, and the kept representatives are exactly those of
+    orbit_representatives whose key is not (almost) zero.  A visited set
+    that decide_ci answers by the zero key raises InternalConsistencyError.
+
     Single valencies carry no closed-form predicate (those quantify over
     all valencies up to m), so the predicate fields stay None here.
     """
+    _check_mode(mode)
+    _check_nm(n, m)
     counterexamples = []
-    for mem in orbit_representatives(n, m, mode):
+    for mem in _orbit_least(_key_candidates(n, m, mode), n):
         s = ConnectionSet(n, mem, mode)
         verdict = decide_ci(s)
+        if verdict.fast_path == "zero-key":
+            raise InternalConsistencyError(
+                f"enumerated set {mem} of Z_{n} has the (almost) zero key"
+            )
         if not verdict.is_ci:
             counterexamples.append((s, verdict.witness))
     return ClassificationReport(

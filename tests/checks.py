@@ -8,8 +8,9 @@ seeded and deterministic.
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
-entry-by-entry rule for genuine multiplier rows, and the backtracking
-isomorphism search.
+entry-by-entry rule for genuine multiplier rows, the backtracking
+isomorphism search, and the sweep's old enumeration (every orbit
+representative, filtered by its key).
 The library's decision path uses none of them.
 """
 
@@ -21,21 +22,25 @@ from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product
 
 from circulant_ci.cayley import (
+    MODES,
     CayleyDigraph,
     ConnectionSet,
     OracleCutoffError,
     brute_force_isomorphic,
     brute_force_isomorphism,
     build_cayley,
+    orbit_members,
 )
 from circulant_ci.engine import (
+    _key_candidates,
+    _orbit_least,
     is_ci,
     is_ci_reduced,
     muzychuk_isomorphic,
     orbit_representatives,
     witnesses,
 )
-from circulant_ci.keys import Key, key_of_set, key_partition
+from circulant_ci.keys import Key, almost_zero_key, key_of_set, key_partition, zero_key
 from circulant_ci.multipliers import (
     GenuineMultiplier,
     as_permutation,
@@ -486,3 +491,47 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
                     image = {mapping[x] for x in a.adjacency[v]}
                     assert image == b.adjacency[mapping[v]], case
     return len(cases)
+
+
+def _ci_keys(n: int) -> set[Key]:
+    """zero_key, and almost_zero_key when n = 4 (mod 8): the keys that
+    decide CI with no scan."""
+    f = factorize(n)
+    return {zero_key(f), almost_zero_key(f)} if n % 8 == 4 else {zero_key(f)}
+
+
+def key_representatives_reference(n: int, m: int, mode: str) -> tuple[tuple[int, ...], ...]:
+    """The orbit representatives that m_property must visit: those whose key
+    is not one of _ci_keys(n)."""
+    trivial = _ci_keys(n)
+    return tuple(
+        mem
+        for mem in orbit_representatives(n, m, mode)
+        if key_of_set(ConnectionSet(n, mem, mode)) not in trivial
+    )
+
+
+def check_key_enumeration(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int = 5) -> int:
+    """The sweep's enumerator against key_representatives_reference: every m
+    for n <= n_max in both modes, and for n_max < n <= wide_n_max every m in
+    graph mode and m <= wide_m_max in digraph mode.  Per cell, the candidates
+    are distinct, none has the zero or almost zero key, they number the sum
+    of the reference's orbit sizes (so they are exactly those sets), and
+    their orbit-least members are the reference's representatives."""
+    checked = 0
+    for n in range(2, max(n_max, wide_n_max) + 1):
+        trivial = _ci_keys(n)
+        for mode in MODES:
+            m_top = n - 1 if n <= n_max or mode == "graph" else min(wide_m_max, n - 1)
+            for m in range(1, m_top + 1):
+                cell = (n, m, mode)
+                candidates = list(_key_candidates(n, m, mode))
+                assert len(set(candidates)) == len(candidates), cell
+                for mem in candidates:
+                    assert key_of_set(ConnectionSet(n, mem, mode)) not in trivial, (cell, mem)
+                reference = key_representatives_reference(n, m, mode)
+                orbits = sum(len(orbit_members(mem, n)) for mem in reference)
+                assert len(candidates) == orbits, cell
+                assert _orbit_least(candidates, n) == reference, cell
+                checked += 1
+    return checked

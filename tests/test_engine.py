@@ -26,7 +26,7 @@ from circulant_ci.engine import (
     witnesses,
 )
 from circulant_ci.keys import key_of_set
-from circulant_ci.zn import DomainError, factorize, units
+from circulant_ci.zn import DomainError, InternalConsistencyError, factorize, units
 
 
 def _cs(n, members, mode="digraph"):
@@ -170,6 +170,44 @@ def test_m_property_bounds():
         m_property(9, 9)
     with pytest.raises(DomainError):
         m_property(9, 2, "multigraph")
+
+
+def test_m_property_raises_on_a_zero_key_verdict(monkeypatch):
+    # every set m_property visits has a key that is not (almost) zero
+    monkeypatch.setattr(engine, "decide_ci", lambda s: engine.CiVerdict(True, None, "zero-key"))
+    assert m_property(30, 4).property_holds  # square-free n: nothing visited
+    with pytest.raises(InternalConsistencyError, match="zero key"):
+        m_property(9, 1)  # visits {3}
+
+
+# (n, p) with p the odd prime whose square divides n
+SHARP_MODULI = ((25, 5), (49, 7), (121, 11), (169, 13), (50, 5), (98, 7))
+# non-CI orbit representatives at the first failing valency, per mode
+SHARP_COUNTS = {
+    "digraph": {25: 4, 49: 6, 121: 10, 169: 12, 50: 16, 98: 24},
+    "graph": {25: 2, 49: 3, 121: 5, 169: 6, 50: 8, 98: 12},
+}
+
+
+@pytest.mark.parametrize("n,p", SHARP_MODULI)
+def test_sharp_boundary_at_prime_squares(n, p):
+    # the bounds are sharp at p^2 | n: m = p holds and m = p + 1 fails for
+    # digraphs, m = 2p + 1 holds and m = 2p + 2 fails for graphs, and the
+    # failure contains the lifted Z_{p^2} witness family
+    families = {"digraph": "coset-plus-p", "graph": "double-coset"}
+    for mode, m in (("digraph", p), ("graph", 2 * p + 1)):
+        holds = is_m_group(n, m, mode)
+        assert holds.property_holds and holds.agreement, (n, mode, m)
+        assert holds.failed_at is None and holds.counterexamples == ()
+        fails = is_m_group(n, m + 1, mode)
+        assert not fails.property_holds and fails.agreement, (n, mode, m + 1)
+        assert fails.failed_at == m + 1
+        assert len(fails.counterexamples) == SHARP_COUNTS[mode][n]
+        (family,) = [
+            w for w in witnesses(n, mode) if w.family == f"z{p * p}-{families[mode]}"
+        ]
+        least = orbit_members(family.connection_set.members, n)[0]
+        assert least in {s.members for s, _ in fails.counterexamples}
 
 
 def test_orbit_representatives_cover_all_sets():

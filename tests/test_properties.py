@@ -1,8 +1,10 @@
 """Standalone property suites: lattice monotonicity, key partitions back
 to their keys through the lattice join, keys of sets against the lattice
 join, multiplier structure, genuine rows and their order against the
-entry-by-entry rule, the reduction through the generated subgroup, and the
-isomorphism oracle against the backtracking reference."""
+entry-by-entry rule, the reduction through the generated subgroup, the
+isomorphism oracle against the backtracking reference, and the sweep's
+enumeration of the sets whose key is not (almost) zero against every orbit
+representative filtered by its key."""
 
 import checks
 
@@ -33,3 +35,7 @@ def test_reduction_lemma_consistency():
 
 def test_oracle_matches_backtracking():
     assert checks.check_oracle_against_backtracking() > 0
+
+
+def test_key_enumeration_matches_reference():
+    assert checks.check_key_enumeration() > 0
