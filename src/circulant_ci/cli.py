@@ -13,11 +13,9 @@ worker count.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import engine
 from .cayley import (
@@ -108,6 +106,8 @@ def _emit(
     if cfg.output_format == "json":
         print(json.dumps(doc))
     elif cfg.output_format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -199,7 +199,7 @@ def _report_obj(r: ClassificationReport) -> dict:
 
 
 def _finish_reports(
-    reports: tuple[ClassificationReport, ...], cfg: RunConfig, dump_path: Path
+    reports: tuple[ClassificationReport, ...], cfg: RunConfig, dump_path: str
 ) -> int:
     docs = [_report_obj(r) for r in reports]
     rows, text = [], []
@@ -219,8 +219,19 @@ def _finish_reports(
     _emit(cfg, {"rows": docs}, header, rows, text)
     bad = [o for o in docs if o["agree"] is False]
     if bad:
-        dump_path.write_text(json.dumps({"rows": bad}, indent=2))
-        print(f"disagreements dumped to {dump_path}", file=sys.stderr)
+        try:
+            with open(dump_path, "w", encoding="utf-8") as fh:
+                json.dump({"rows": bad}, fh, indent=2)
+        except OSError as exc:
+            # the disagreement is the result; a dump that cannot be written
+            # must not turn exit 3 into a traceback
+            reason = exc.strerror or exc
+            print(
+                f"error: cannot write disagreement dump to {dump_path}: {reason}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"disagreements dumped to {dump_path}", file=sys.stderr)
         return 3
     return 0
 
@@ -304,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cls = add_moded("classify", "exhaustive group property at one (n, m)")
     p_cls.add_argument("n", type=int)
     p_cls.add_argument("m", type=int)
-    p_cls.add_argument("--dump", type=Path, default=Path("ci_disagreements.json"))
+    p_cls.add_argument("--dump", default="ci_disagreements.json")
     p_cls.set_defaults(func=cmd_classify)
 
     p_ver = add_moded("verify", "sweep all cells against the predicates")
     p_ver.add_argument("--n-max", type=int, default=12, dest="n_max")
     p_ver.add_argument("--m-max", type=int, default=6, dest="m_max")
-    p_ver.add_argument("--dump", type=Path, default=Path("ci_disagreements.json"))
+    p_ver.add_argument("--dump", default="ci_disagreements.json")
     p_ver.set_defaults(func=cmd_verify)
 
     p_wit = add_moded("witness", "explicit non-CI families for n")

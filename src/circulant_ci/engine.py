@@ -23,10 +23,9 @@ and 18 as the CI exceptions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .cayley import MODES, ConnectionSet, orbit_members
 from .keys import Key, key_of_set
@@ -576,6 +575,10 @@ def verify_theorems(
     # the pool forks all max_workers processes on the first submit
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here, so a process that starts no pool never loads
+        # multiprocessing and its dependencies
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_group_reports, tasks))
     else:

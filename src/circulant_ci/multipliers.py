@@ -18,11 +18,11 @@ over Z_{p^t} or Z_n is built.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
-from typing import Iterator
 
 from .keys import Key, _check_key_row
 from .zn import DomainError, is_prime

@@ -9,9 +9,9 @@ worker processes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 
 class DomainError(ValueError):

@@ -183,6 +183,18 @@ def test_disagreement_dump(tmp_path, capsys):
     assert json.loads(path.read_text())["rows"][0]["agree"] is False
 
 
+def test_unwritable_dump_keeps_exit_3(tmp_path, capsys):
+    # a dump that cannot be written is reported, and the disagreement still exits 3
+    report = ClassificationReport(9, 4, "digraph", True, (), False, False, None)
+    path = tmp_path / "missing" / "dump.json"
+    code = _finish_reports((report,), RunConfig(), str(path))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "DISAGREE" in captured.out
+    assert captured.err.startswith(f"error: cannot write disagreement dump to {path}: ")
+    assert not path.exists()
+
+
 def test_output_matches_golden_bytes(tmp_path):
     # every command under every --format, recorded by tests/record_cli_golden.py
     cases = json.loads(GOLDEN.read_text())

@@ -356,7 +356,8 @@ def test_verify_theorems_caps_workers_at_tasks(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    # verify_theorems imports the pool class from here when it needs one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     # cells (4, 3) and (5, 3): one task per n, so two tasks
     assert verify_theorems(5, 3, workers=64) == verify_theorems(5, 3)
     assert started == [2]

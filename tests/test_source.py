@@ -4,6 +4,8 @@ parts: the README examples and the benchmark's lookups by name."""
 import ast
 import doctest
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import circulant_ci
@@ -118,6 +120,28 @@ def _attribute_reads(node: ast.AST, attr: str, scope: str = ""):
         ):
             yield scope, child.lineno
         yield from _attribute_reads(child, attr, scope)
+
+
+# loaded only by the branch that runs them: the worker pool and the csv
+# output; pathlib is not used, and typing names come from collections.abc
+LAZY_MODULES = (
+    "concurrent.futures.process", "multiprocessing", "pathlib", "csv", "typing"
+)
+
+
+def test_import_loads_only_what_commands_run():
+    # a fresh interpreter without site, which would load some of these itself
+    src = str(Path(circulant_ci.__file__).parent.parent)
+    for module in ("circulant_ci.cli", "circulant_ci"):
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print(sorted(set({LAZY_MODULES!r}) & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", probe],
+            capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "[]\n", (module, out)
 
 
 def test_output_format_read_only_by_emit():
