@@ -15,6 +15,7 @@ its cutoff.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,10 +79,20 @@ def build_cayley(s: ConnectionSet) -> CayleyDigraph:
     return CayleyDigraph(s)
 
 
+def _unit_multiples(members: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
+    """The multiples uS, each sorted, in ascending order of the unit u;
+    repeats are kept.  The one statement of the unit action on sets."""
+    for u in units(n):
+        yield tuple(sorted([u * x % n for x in members]))
+
+
 def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct unit multiples of a member tuple, each sorted, overall sorted."""
-    seen = {tuple(sorted(u * x % n for x in members)) for u in units(n)}
-    return tuple(sorted(seen))
+    """Distinct unit multiples of a member tuple, each sorted, overall sorted.
+
+    Lists the whole orbit at once, for callers, tests and the check that a
+    lifted witness avoids the orbit; the CI scan lists it lazily instead.
+    """
+    return tuple(sorted(set(_unit_multiples(members, n))))
 
 
 def _signatures(out, inn, colours):

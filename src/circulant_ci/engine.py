@@ -3,7 +3,9 @@
 Two circulants Cay(Z_n, S) and Cay(Z_n, T) are isomorphic exactly when their
 keys agree and some solving-set permutation of that key carries S onto T
 (Muzychuk's criterion).  CI testing scans the whole solving set: S is CI iff
-every image stays inside the unit orbit of S.
+every image stays inside the unit orbit of S.  The scan lists that orbit
+only as far as it needs it, taking the multiples uS in ascending order of u
+until the current image is among them.
 
 On top of the single-set decision sit the exhaustive valency sweeps, the
 closed-form classification predicates they are checked against, the coset
@@ -27,7 +29,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cayley import MODES, ConnectionSet, orbit_members
+from .cayley import MODES, ConnectionSet, _unit_multiples, orbit_members
 from .keys import Key, key_of_set
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
@@ -163,11 +165,16 @@ def is_ci(s: ConnectionSet) -> CiVerdict:
 
 
 def _is_ci(s: ConnectionSet, k: Key) -> CiVerdict:
-    # is_ci for a non-empty S whose key k is already known
-    orbit = set(orbit_members(s.members, s.n))
+    # is_ci for a non-empty S whose key k is already known.  The orbit is
+    # listed only as far as the scan needs it; an image still missing when
+    # the multiples uS run out is the first image outside the orbit.
+    multiples, orbit = _unit_multiples(s.members, s.n), set()
     for _, image in solving_set(k).images(s.members):
-        if image not in orbit:
-            return CiVerdict(False, _mate(s, image, k))
+        while image not in orbit:
+            multiple = next(multiples, None)
+            if multiple is None:
+                return CiVerdict(False, _mate(s, image, k))
+            orbit.add(multiple)
     return CiVerdict(True)
 
 

@@ -9,8 +9,9 @@ The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the backtracking
-isomorphism search, and the sweep's old enumeration (every orbit
-representative, filtered by its key).
+isomorphism search, the sweep's old enumeration (every orbit
+representative, filtered by its key), and the CI scan that lists the whole
+unit orbit before it looks at an image.
 The library's decision path uses none of them.
 """
 
@@ -32,6 +33,7 @@ from circulant_ci.cayley import (
     orbit_members,
 )
 from circulant_ci.engine import (
+    CiVerdict,
     _key_candidates,
     _orbit_least,
     is_ci,
@@ -47,7 +49,7 @@ from circulant_ci.multipliers import (
     genuine_multipliers_prime_power,
     solving_set,
 )
-from circulant_ci.zn import DomainError, Factorization, factorize
+from circulant_ci.zn import DomainError, Factorization, factorize, units
 
 SEED = 20250810
 PAIR_SAMPLE_LIMIT = 1500
@@ -535,3 +537,44 @@ def check_key_enumeration(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int
                 assert _orbit_least(candidates, n) == reference, cell
                 checked += 1
     return checked
+
+
+def ci_scan_reference(s: ConnectionSet) -> CiVerdict:
+    """The CI scan with the whole unit orbit listed first: S is CI iff every
+    solving-set image lies in {uS : u a unit}, and the witness is the first
+    image outside it, in enumeration order.  The orbit is built here rather
+    than by orbit_members, which shares the library's unit action."""
+    if not s.members:
+        return CiVerdict(True)
+    orbit = {tuple(sorted(u * x % s.n for x in s.members)) for u in units(s.n)}
+    for _, image in solving_set(key_of_set(s)).images(s.members):
+        if image not in orbit:
+            return CiVerdict(False, ConnectionSet(s.n, image, s.mode))
+    return CiVerdict(True)
+
+
+def check_ci_scan_against_reference(n_max: int = 16) -> int:
+    """is_ci against ci_scan_reference, on verdict and witness members: every
+    orbit representative for n <= n_max in both modes, and the seeded coset
+    unions up to n = 256.  Both sides must meet non-CI sets."""
+    cases = [
+        ConnectionSet(n, mem, mode)
+        for n in range(2, n_max + 1)
+        for mode in MODES
+        for m in range(1, n)
+        for mem in orbit_representatives(n, m, mode)
+    ]
+    rng = random.Random(SEED)
+    cases += [
+        _coset_union(rng, n) for n in COSET_UNION_MODULI for _ in range(COSET_UNIONS_PER_MODULUS)
+    ]
+    non_ci = 0
+    for s in cases:
+        verdict, expected = is_ci(s), ci_scan_reference(s)
+        case = (s.n, s.mode, s.members)
+        assert verdict.is_ci == expected.is_ci, case
+        if not expected.is_ci:
+            assert verdict.witness.members == expected.witness.members, case
+            non_ci += 1
+    assert non_ci > 0, "no non-CI set was compared"
+    return len(cases)

@@ -4,7 +4,8 @@ join, multiplier structure, genuine rows and their order against the
 entry-by-entry rule, the reduction through the generated subgroup, the
 isomorphism oracle against the backtracking reference, and the sweep's
 enumeration of the sets whose key is not (almost) zero against every orbit
-representative filtered by its key."""
+representative filtered by its key, and the lazy CI scan against the scan
+that lists the whole unit orbit first."""
 
 import checks
 
@@ -39,3 +40,7 @@ def test_oracle_matches_backtracking():
 
 def test_key_enumeration_matches_reference():
     assert checks.check_key_enumeration() > 0
+
+
+def test_ci_scan_matches_reference():
+    assert checks.check_ci_scan_against_reference() > 0
