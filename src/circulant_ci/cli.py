@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import engine
 from .cayley import (
@@ -30,31 +29,6 @@ from .keys import key_of_set, key_partition
 from .zn import DomainError
 
 FORMATS = ("json", "csv", "text")
-
-
-@dataclass
-class RunConfig:
-    oracle_cutoff: int = 12
-    workers: int = 1
-    output_format: str = "text"
-
-    def __post_init__(self) -> None:
-        if self.oracle_cutoff < 2:
-            raise DomainError("oracle_cutoff must be at least 2")
-        if self.workers < 1:
-            raise DomainError("workers must be at least 1")
-        if self.output_format not in FORMATS:
-            raise DomainError("output_format must be json, csv or text")
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """The run values from the flags; an omitted flag keeps its RunConfig default."""
-    given = {
-        "oracle_cutoff": args.oracle_cutoff,
-        "workers": args.workers,
-        "output_format": args.format,
-    }
-    return RunConfig(**{name: v for name, v in given.items() if v is not None})
 
 
 def parse_residues(text: str, n: int) -> tuple[int, ...]:
@@ -100,12 +74,12 @@ def _csv_row(doc: dict) -> list:
 
 
 def _emit(
-    cfg: RunConfig, doc: dict, header: list[str], rows: list[list], text: list[str]
+    args: argparse.Namespace, doc: dict, header: list[str], rows: list[list], text: list[str]
 ) -> None:
     """Print a command's result: doc as JSON, header and rows as CSV, or the text lines."""
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps(doc))
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -116,18 +90,18 @@ def _emit(
             print(line)
 
 
-def cmd_key(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_key(args: argparse.Namespace) -> int:
     s = _make_set(args.n, args.set, "digraph", False)
     k = key_of_set(s)
     doc = {"n": args.n, "set": list(s.members), "key": k.as_lists()}
     if args.partition:
         doc["partition"] = [list(c) for c in key_partition(k)]
     text = [_compact(doc[name]) for name in ("key", "partition") if name in doc]
-    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
+    _emit(args, doc, list(doc), [_csv_row(doc)], text)
     return 0
 
 
-def cmd_iso(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_iso(args: argparse.Namespace) -> int:
     s = _make_set(args.n, args.s, args.mode, args.close_inverses)
     t = _make_set(args.n, args.t, args.mode, args.close_inverses)
     verdict = engine.muzychuk_isomorphic(s, t)
@@ -151,7 +125,7 @@ def cmd_iso(args: argparse.Namespace, cfg: RunConfig) -> int:
     code = 0
     if args.oracle:
         mapping = brute_force_isomorphism(
-            build_cayley(s), build_cayley(t), oracle_cutoff=cfg.oracle_cutoff
+            build_cayley(s), build_cayley(t), oracle_cutoff=args.oracle_cutoff
         )
         doc["oracle"] = mapping is not None
         doc["agree"] = doc["oracle"] == verdict.isomorphic
@@ -159,11 +133,11 @@ def cmd_iso(args: argparse.Namespace, cfg: RunConfig) -> int:
             code = 3
         word = "isomorphic" if doc["oracle"] else "not isomorphic"
         text.append(f"oracle: {word}, agree: {_bool_word(doc['agree'])}")
-    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
+    _emit(args, doc, list(doc), [_csv_row(doc)], text)
     return code
 
 
-def cmd_ci(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_ci(args: argparse.Namespace) -> int:
     s = _make_set(args.n, args.set, args.mode, args.close_inverses)
     verdict = engine.decide_ci(s)
     doc = {
@@ -179,7 +153,7 @@ def cmd_ci(args: argparse.Namespace, cfg: RunConfig) -> int:
         text = [f"CI{suffix}"]
     else:
         text = [f"non-CI, witness {','.join(map(str, doc['witness']))}"]
-    _emit(cfg, doc, list(doc), [_csv_row(doc)], text)
+    _emit(args, doc, list(doc), [_csv_row(doc)], text)
     return 0
 
 
@@ -199,7 +173,7 @@ def _report_obj(r: ClassificationReport) -> dict:
 
 
 def _finish_reports(
-    reports: tuple[ClassificationReport, ...], cfg: RunConfig, dump_path: str
+    reports: tuple[ClassificationReport, ...], args: argparse.Namespace, dump_path: str
 ) -> int:
     docs = [_report_obj(r) for r in reports]
     rows, text = [], []
@@ -216,7 +190,7 @@ def _finish_reports(
             line += f", counterexamples: {len(o['counterexamples'])}"
         text.append(line)
     header = ["n", "m", "mode", "property", "predicate", "agree", "counterexamples"]
-    _emit(cfg, {"rows": docs}, header, rows, text)
+    _emit(args, {"rows": docs}, header, rows, text)
     bad = [o for o in docs if o["agree"] is False]
     if bad:
         try:
@@ -236,22 +210,22 @@ def _finish_reports(
     return 0
 
 
-def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     report = engine.is_m_group(args.n, args.m, args.mode)
-    return _finish_reports((report,), cfg, args.dump)
+    return _finish_reports((report,), args, args.dump)
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
         reports = engine.verify_theorems(
-            args.n_max, args.m_max, args.mode, workers=cfg.workers
+            args.n_max, args.m_max, args.mode, workers=args.workers
         )
     except DisagreementError as exc:
         reports = exc.reports
-    return _finish_reports(reports, cfg, args.dump)
+    return _finish_reports(reports, args, args.dump)
 
 
-def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_witness(args: argparse.Namespace) -> int:
     families = [
         {
             "family": w.family,
@@ -265,7 +239,7 @@ def cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
         for o in families
     ]
     _emit(
-        cfg,
+        args,
         {"n": args.n, "mode": args.mode, "families": families},
         ["family", "set", "non_ci_confirmed"],
         [[o["family"], _compact(o["set"]), "true"] for o in families],
@@ -279,9 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="circulant-ci",
         description="Exact isomorphism and CI-property engine for circulant (di)graphs.",
     )
-    parser.add_argument("--format", choices=FORMATS, default=None)
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--oracle-cutoff", type=int, default=None, dest="oracle_cutoff")
+    parser.add_argument("--format", choices=FORMATS, default="text")
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--oracle-cutoff", type=int, default=12, dest="oracle_cutoff")
     sub = parser.add_subparsers(dest="command", required=True)
     # the one declaration of --mode, shared by every command that takes it
     mode_parent = argparse.ArgumentParser(add_help=False)
@@ -334,8 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return args.func(args, cfg)
+        if args.oracle_cutoff < 2:
+            raise DomainError("oracle_cutoff must be at least 2")
+        if args.workers < 1:
+            raise DomainError("workers must be at least 1")
+        return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

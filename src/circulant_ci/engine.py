@@ -5,7 +5,9 @@ keys agree and some solving-set permutation of that key carries S onto T
 (Muzychuk's criterion).  CI testing scans the whole solving set: S is CI iff
 every image stays inside the unit orbit of S.  The scan lists that orbit
 only as far as it needs it, taking the multiples uS in ascending order of u
-until the current image is among them.
+until the current image is among them.  The sweeps keep one set per orbit,
+the one no multiple uS undercuts, and both take the multiples from
+cayley._unit_multiples, the one statement of the unit action.
 
 On top of the single-set decision sit the exhaustive valency sweeps, the
 closed-form classification predicates they are checked against, the coset
@@ -39,7 +41,6 @@ from .zn import (
     generated_subgroup,
     is_prime,
     subgroup_of_order,
-    units,
 )
 
 
@@ -309,16 +310,13 @@ def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]
 
 
 def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
-    # the tuples that are lexicographically least in their unit orbit, ascending
-    # (u = 1 maps every tuple to itself, so its test always passes)
-    tables = [tuple(u * x % n for x in range(n)) for u in units(n) if u != 1]
-    return tuple(
-        sorted(
-            mem
-            for mem in tuples
-            if all(tuple(sorted(tab[x] for x in mem)) >= mem for tab in tables)
-        )
-    )
+    # the tuples that are lexicographically least in their unit orbit,
+    # ascending: no multiple uS is smaller (u = 1 yields S itself, and all
+    # stops at the first smaller multiple)
+    return tuple(sorted(
+        mem for mem in tuples
+        if all(multiple >= mem for multiple in _unit_multiples(mem, n))
+    ))
 
 
 def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[int, ...], ...]:

@@ -9,14 +9,16 @@ The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the backtracking
-isomorphism search, the sweep's old enumeration (every orbit
-representative, filtered by its key), and the CI scan that lists the whole
-unit orbit before it looks at an image.
+isomorphism search, the orbit filter with one table of x -> ux per unit,
+the Burnside count of the unit orbits, the sweep's old enumeration (every
+orbit representative, filtered by its key), and the CI scan that lists the
+whole unit orbit before it looks at an image.
 The library's decision path uses none of them.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from functools import lru_cache
@@ -36,6 +38,7 @@ from circulant_ci.engine import (
     CiVerdict,
     _key_candidates,
     _orbit_least,
+    connection_set_tuples,
     is_ci,
     is_ci_reduced,
     muzychuk_isomorphic,
@@ -502,13 +505,81 @@ def _ci_keys(n: int) -> set[Key]:
     return {zero_key(f), almost_zero_key(f)} if n % 8 == 4 else {zero_key(f)}
 
 
+def orbit_least_reference(tuples, n: int) -> tuple[tuple[int, ...], ...]:
+    """The tuples that are lexicographically least in their unit orbit,
+    ascending, tested against one table of x -> ux per unit u != 1 (u = 1
+    maps every tuple to itself, so its test always passes)."""
+    tables = [tuple(u * x % n for x in range(n)) for u in units(n) if u != 1]
+    return tuple(
+        sorted(
+            mem
+            for mem in tuples
+            if all(tuple(sorted(tab[x] for x in mem)) >= mem for tab in tables)
+        )
+    )
+
+
+def orbit_count(n: int, m: int, mode: str) -> int:
+    """The number of unit orbits of size-m connection sets (graph mode:
+    inverse-closed), by Burnside: the mean over the units u of the sets u
+    fixes.  A fixed set is a union of cycles of u on the blocks (residues in
+    digraph mode, pairs {x, -x} in graph mode), so u fixes as many as the
+    coefficient of x^m in the product of 1 + x^c over its cycles, where c is
+    the number of residues a cycle covers.  No set is built and no key is
+    computed."""
+    # the residues each block covers, by the block's least member
+    if mode == "digraph":
+        size = dict.fromkeys(range(1, n), 1)
+    else:
+        size = {x: 1 if 2 * x == n else 2 for x in range(1, n // 2 + 1)}
+    unit_list = [u for u in range(1, n) if math.gcd(u, n) == 1]
+    total = 0
+    for u in unit_list:
+        coefficients = [1] + [0] * m
+        seen = set()
+        for start in size:
+            if start in seen:
+                continue
+            c, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                c += size[x]
+                x = u * x % n
+                x = x if x in size else n - x
+            for k in range(m, c - 1, -1):
+                coefficients[k] += coefficients[k - c]
+        total += coefficients[m]
+    assert total % len(unit_list) == 0, (n, m, mode, total)
+    return total // len(unit_list)
+
+
+def check_orbit_filter(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int = 5) -> int:
+    """orbit_representatives against orbit_least_reference over every
+    connection set, and its length against orbit_count, on the cells of
+    check_key_enumeration: every m for n <= n_max in both modes, and for
+    n_max < n <= wide_n_max every m in graph mode and m <= wide_m_max in
+    digraph mode."""
+    checked = 0
+    for n in range(2, max(n_max, wide_n_max) + 1):
+        for mode in MODES:
+            m_top = n - 1 if n <= n_max or mode == "graph" else min(wide_m_max, n - 1)
+            for m in range(1, m_top + 1):
+                cell = (n, m, mode)
+                representatives = orbit_representatives(n, m, mode)
+                reference = orbit_least_reference(connection_set_tuples(n, m, mode), n)
+                assert representatives == reference, cell
+                assert len(representatives) == orbit_count(n, m, mode), cell
+                checked += 1
+    return checked
+
+
 def key_representatives_reference(n: int, m: int, mode: str) -> tuple[tuple[int, ...], ...]:
     """The orbit representatives that m_property must visit: those whose key
-    is not one of _ci_keys(n)."""
+    is not one of _ci_keys(n), from orbit_least_reference."""
     trivial = _ci_keys(n)
     return tuple(
         mem
-        for mem in orbit_representatives(n, m, mode)
+        for mem in orbit_least_reference(connection_set_tuples(n, m, mode), n)
         if key_of_set(ConnectionSet(n, mem, mode)) not in trivial
     )
 

@@ -1,10 +1,11 @@
 """End-to-end tests of the command-line surface."""
 
+import argparse
 import json
 
 import pytest
 
-from circulant_ci.cli import RunConfig, _finish_reports, main
+from circulant_ci.cli import _finish_reports, main
 from circulant_ci.engine import ClassificationReport
 from record_cli_golden import GOLDEN, run_case
 
@@ -143,6 +144,11 @@ def test_oracle_cutoff_flag_lowers_cutoff(capsys):
     assert code == 4 and "n=10 > 9" in err
 
 
+def test_oracle_cutoff_below_two_exits_2(capsys):
+    code, out, err = run(capsys, "--oracle-cutoff", "1", "key", "8", "1")
+    assert code == 2 and out == "" and err == "error: oracle_cutoff must be at least 2\n"
+
+
 def test_workers_set_by_flag_only(capsys, monkeypatch):
     # the environment holds no run value: a malformed CIRC_WORKERS is not read
     monkeypatch.setenv("CIRC_WORKERS", "not-a-number")
@@ -175,7 +181,7 @@ def test_disagreement_dump(tmp_path, capsys):
     # exercised directly: the engine never produces a disagreeing report
     report = ClassificationReport(9, 4, "digraph", True, (), False, False, None)
     path = tmp_path / "dump.json"
-    code = _finish_reports((report,), RunConfig(), path)
+    code = _finish_reports((report,), argparse.Namespace(format="text"), path)
     captured = capsys.readouterr()
     assert code == 3
     assert "DISAGREE" in captured.out
@@ -187,7 +193,7 @@ def test_unwritable_dump_keeps_exit_3(tmp_path, capsys):
     # a dump that cannot be written is reported, and the disagreement still exits 3
     report = ClassificationReport(9, 4, "digraph", True, (), False, False, None)
     path = tmp_path / "missing" / "dump.json"
-    code = _finish_reports((report,), RunConfig(), str(path))
+    code = _finish_reports((report,), argparse.Namespace(format="text"), str(path))
     captured = capsys.readouterr()
     assert code == 3
     assert "DISAGREE" in captured.out

@@ -2,10 +2,11 @@
 to their keys through the lattice join, keys of sets against the lattice
 join, multiplier structure, genuine rows and their order against the
 entry-by-entry rule, the reduction through the generated subgroup, the
-isomorphism oracle against the backtracking reference, and the sweep's
+isomorphism oracle against the backtracking reference, the sweep's
 enumeration of the sets whose key is not (almost) zero against every orbit
-representative filtered by its key, and the lazy CI scan against the scan
-that lists the whole unit orbit first."""
+representative filtered by its key, the orbit filter against the filter
+with one table per unit and against the Burnside count of the orbits, and
+the lazy CI scan against the scan that lists the whole unit orbit first."""
 
 import checks
 
@@ -40,6 +41,10 @@ def test_oracle_matches_backtracking():
 
 def test_key_enumeration_matches_reference():
     assert checks.check_key_enumeration() > 0
+
+
+def test_orbit_filter_matches_reference_and_burnside_count():
+    assert checks.check_orbit_filter() > 0
 
 
 def test_ci_scan_matches_reference():

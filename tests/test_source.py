@@ -107,19 +107,26 @@ def test_every_cache_is_bounded():
     assert constants and sorted(set(constants) - bounds) == []
 
 
-def _attribute_reads(node: ast.AST, attr: str, scope: str = ""):
-    """(qualified enclosing function or class, line) of every load of .attr."""
+def _scoped(node: ast.AST, match, scope: str = ""):
+    """(qualified enclosing function or class, line) of every node that
+    `match` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _attribute_reads(child, attr, f"{scope}.{child.name}".lstrip("."))
+            yield from _scoped(child, match, f"{scope}.{child.name}".lstrip("."))
             continue
-        if (
-            isinstance(child, ast.Attribute)
-            and child.attr == attr
-            and isinstance(child.ctx, ast.Load)
-        ):
+        if match(child):
             yield scope, child.lineno
-        yield from _attribute_reads(child, attr, scope)
+        yield from _scoped(child, match, scope)
+
+
+def _attribute_reads(node: ast.AST, attr: str):
+    """(qualified enclosing function or class, line) of every load of .attr."""
+    return _scoped(
+        node,
+        lambda child: isinstance(child, ast.Attribute)
+        and child.attr == attr
+        and isinstance(child.ctx, ast.Load),
+    )
 
 
 # loaded only by the branch that runs them: the worker pool and the csv
@@ -146,13 +153,25 @@ def test_import_loads_only_what_commands_run():
 
 def test_output_format_read_only_by_emit():
     # one output path: each command builds its three forms and _emit picks one
-    allowed = {"_emit", "RunConfig.__post_init__"}
-    found = [
+    # (and reads it at all, so a renamed flag does not pass unchecked)
+    reads = [
         f"cli.py:{line} {scope}"
         for path, tree in _trees()
         if path.name == "cli.py"
-        for scope, line in _attribute_reads(tree, "output_format")
-        if scope not in allowed
+        for scope, line in _attribute_reads(tree, "format")
+    ]
+    assert reads and all(read.endswith(" _emit") for read in reads), reads
+
+
+def test_unit_action_stated_once():
+    # cayley._unit_multiples is the one code that applies a unit to a set
+    found = [
+        f"{path.name}:{line} {scope}"
+        for path, tree in _trees()
+        for scope, line in _scoped(
+            tree, lambda node: isinstance(node, ast.Call) and _decorator_name(node) == "units"
+        )
+        if (path.stem, scope) != ("cayley", "_unit_multiples")
     ]
     assert not found, found
 
