@@ -27,6 +27,7 @@ and 18 as the CI exceptions.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
@@ -577,8 +578,9 @@ def verify_theorems(
         ms = tuple(range(lo, min(m_max, n - 1) + 1))
         if ms:
             tasks.append((n, ms, mode))
-    # the pool forks all max_workers processes on the first submit
-    workers = min(workers, len(tasks))
+    # the pool forks all max_workers processes on the first submit, so it
+    # gets no more of them than there are tasks or CPUs
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         # imported here, so a process that starts no pool never loads
         # multiprocessing and its dependencies

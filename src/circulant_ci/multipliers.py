@@ -18,15 +18,14 @@ over Z_{p^t} or Z_n is built.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
 
 from .keys import Key, _check_key_row
-from .zn import DomainError, is_prime
-from .zn import crt_decode, crt_encode
+from .zn import DomainError, Factorization, is_prime
 
 
 @dataclass(frozen=True)
@@ -61,36 +60,34 @@ class GenuineMultiplier:
         return [list(row) for row in self.rows]
 
 
-def apply_multiplier_prime(row: tuple[int, ...], x: int, p: int, t: int) -> int:
-    """Image of x in Z_{p^t}: digit x_i picks up the factor m_{t-i}."""
-    if len(row) != t:
-        raise DomainError(f"multiplier row must have length {t}")
-    q = p**t
-    if not 0 <= x < q:
-        raise DomainError(f"{x} is not a canonical residue mod {q}")
-    y = 0
-    power = 1
-    for i in range(t):
-        y += row[t - 1 - i] * (x % p) * power
-        x //= p
-        power *= p
-    return y % q
+def _digit_terms(
+    members: Iterable[int], f: Factorization
+) -> list[tuple[int, ...]]:
+    """The one statement of the multiplier action, as terms per member x.
 
-
-def apply_multiplier(m: GenuineMultiplier, x: int) -> int:
-    """Image of x in Z_n: encode, act per prime power, decode."""
-    f = m.key.factorization
-    components = crt_encode(x, f)
-    images = tuple(
-        apply_multiplier_prime(row, c, p, t)
-        for row, (p, t), c in zip(m.rows, f.parts, components)
-    )
-    return crt_decode(images, f)
+    Row m of p^t acts on x through the digits x_i of x mod p^t, as
+    sum m_{t-i} x_i p^i times the CRT idempotent e of p^t; the image of x
+    is the sum of these over the prime powers of n, mod n.  So a
+    multiplier's image of x is its flattened row entries times the terms
+    x_i p^i e of x, summed mod n.
+    """
+    # per member, the term x_i p^i e that each row entry scales, in the
+    # order of the entries: entry a of the row of p^t scales i = t - 1 - a
+    return [
+        tuple(
+            x // p**i % p * p**i * e
+            for (p, t), e in zip(f.parts, f.idempotents)
+            for i in reversed(range(t))
+        )
+        for x in members
+    ]
 
 
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n."""
-    return tuple(apply_multiplier(m, x) for x in range(m.key.factorization.n))
+    f = m.key.factorization
+    entries = [e for row in m.rows for e in row]
+    return tuple(sum(map(mul, entries, xt)) % f.n for xt in _digit_terms(range(f.n), f))
 
 
 def genuine_multipliers_prime_power(
@@ -159,24 +156,12 @@ class SolvingSet:
     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """(rows, sorted image of members) per multiplier, in iteration order.
 
-        Row m acts on x through the digits x_i of x mod p^t, as
-        sum m_{t-i} x_i p^i times the CRT idempotent e of p^t; the image of
-        x is the sum of these terms over the prime powers of n, mod n.  The
-        terms are computed once per call, and a multiplier's images only
-        when the scan reaches it.
+        The terms ``_digit_terms`` states are computed once per call, and a
+        multiplier's images only when the scan reaches it.
         """
         f = self.key.factorization
         n = f.n
-        # per member, the term x_i p^i e that each row entry scales, in the
-        # order of the entries: entry a of the row of p^t scales i = t - 1 - a
-        terms = [
-            tuple(
-                x // p**i % p * p**i * e
-                for (p, t), e in zip(f.parts, f.idempotents)
-                for i in reversed(range(t))
-            )
-            for x in members
-        ]
+        terms = _digit_terms(members, f)
         for rows in product(*self._rows):
             entries = [m for row in rows for m in row]
             yield rows, tuple(sorted(sum(map(mul, entries, xt)) % n for xt in terms))

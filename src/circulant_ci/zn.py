@@ -1,15 +1,14 @@
 """Exact arithmetic over Z_n.
 
-Residues are canonical ints in ``range(n)``; derived views (CRT coordinate
-tuples) are computed on demand and never stored.  All functions are pure and
-all values immutable, so everything here is safe to share across threads or
-worker processes.
+Residues are canonical ints in ``range(n)`` and are stored in no other
+form.  All functions are pure and all values immutable, so everything here
+is safe to share across threads or worker processes.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -42,7 +41,7 @@ class Factorization:
     """Ordered prime-power decomposition n = p1^t1 * ... * pl^tl.
 
     Primes ascend strictly; every tuple structure downstream (keys,
-    multipliers, CRT coordinates) inherits this order.
+    multipliers, CRT idempotents) inherits this order.
     """
 
     n: int
@@ -106,24 +105,6 @@ def factorize(n: int) -> Factorization:
 def _check_residue(x: int, n: int) -> None:
     if not 0 <= x < n:
         raise DomainError(f"{x} is not a canonical residue mod {n}")
-
-
-def crt_encode(x: int, f: Factorization) -> tuple[int, ...]:
-    """Coordinates of x in the direct-sum view, one per prime power."""
-    _check_residue(x, f.n)
-    return tuple(x % q for q in f.prime_powers)
-
-
-def crt_decode(components: Sequence[int], f: Factorization) -> int:
-    """The unique x in range(n) matching every coordinate; inverts crt_encode."""
-    qs = f.prime_powers
-    if len(components) != len(qs):
-        raise DomainError("one component per prime power required")
-    x = 0
-    for c, q, e in zip(components, qs, f.idempotents):
-        _check_residue(c, q)
-        x = (x + c * e) % f.n
-    return x
 
 
 def order_exponent(x: int, p: int, t: int) -> int:

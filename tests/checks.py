@@ -8,7 +8,8 @@ seeded and deterministic.
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
-entry-by-entry rule for genuine multiplier rows, the backtracking
+entry-by-entry rule for genuine multiplier rows, the digit loop of the
+multiplier action with its own CRT recombination, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the sweep's old enumeration (every
 orbit representative, filtered by its key), and the CI scan that lists the
@@ -61,7 +62,7 @@ PAIR_SAMPLE_LIMIT = 1500
 COSET_UNION_MODULI = (32, 48, 64, 72, 96, 108, 128, 144, 192, 216, 243, 256)
 COSET_UNIONS_PER_MODULUS = 12
 # moduli of the seeded coset unions whose solving-set images are compared
-# with as_permutation: up to eight p-adic digits and up to three primes
+# with the reference action: up to eight p-adic digits and up to three primes
 ACTION_MODULI = (128, 216, 243, 256, 384, 600)
 ACTION_SETS_PER_MODULUS = 4
 # multipliers compared per set, spread evenly over the solving set
@@ -321,13 +322,46 @@ def check_key_round_trip(n_max: int = 72) -> int:
     return checked
 
 
+def multiplier_action_reference(rows, n: int) -> tuple[int, ...]:
+    """The image table of Z_n under the multiplier with these rows, one per
+    prime power p^t of n, by the digit loop: the digit x_i of x mod p^t
+    picks up the factor m_{t-i}, mod p^t.  Any rows of length t act, genuine
+    or not.  The images mod the p^t are joined by Garner's recombination,
+    which reads no CRT idempotent, so a fault in the library's terms cannot
+    hide on both sides of check_multiplier_action."""
+    parts = factorize(n).parts
+    assert len(rows) == len(parts) and all(
+        len(row) == t for row, (_, t) in zip(rows, parts)
+    ), (rows, n)
+    # per prime power: q, the product of the earlier ones, its inverse mod q
+    steps = []
+    earlier = 1
+    for p, t in parts:
+        steps.append((p**t, earlier, pow(earlier, -1, p**t)))
+        earlier *= p**t
+    table = []
+    for x in range(n):
+        y = 0
+        for row, (p, t), (q, below, inverse) in zip(rows, parts, steps):
+            image = 0
+            digits = x % q
+            for i in range(t):
+                image += row[t - 1 - i] * (digits % p) * p**i
+                digits //= p
+            # the residue mod below * q that is y mod below and image mod q
+            y += below * ((image - y) * inverse % q)
+        table.append(y)
+    return tuple(table)
+
+
 def check_multiplier_action(n_max: int = 72) -> int:
-    """Every solving-set permutation is a bijection carrying key-partition
-    classes onto key-partition classes, and SolvingSet.images yields the
-    multiplier rows and the class images of the reference permutation
-    (as_permutation) in iteration order, for every key with n <= n_max;
-    on seeded coset unions at the ACTION_MODULI, images of the set agree
-    with the reference on an evenly spread sample of the solving set."""
+    """For every key with n <= n_max, every solving-set permutation is a
+    bijection carrying key-partition classes onto key-partition classes,
+    and both as_permutation and SolvingSet.images agree with
+    multiplier_action_reference: the permutation entry by entry, the images
+    as the multiplier rows and the class images in iteration order.  On
+    seeded coset unions at the ACTION_MODULI, images of the set agree with
+    the reference on an evenly spread sample of the solving set."""
     checked = 0
     for n in range(2, n_max + 1):
         for k in enumerate_keys(factorize(n)):
@@ -339,7 +373,8 @@ def check_multiplier_action(n_max: int = 72) -> int:
             ss = solving_set(k)
             per_class = [ss.images(cls) for cls in pi]
             for m, *mapped in zip(ss, *per_class, strict=True):
-                perm = as_permutation(m)
+                perm = multiplier_action_reference(m.rows, n)
+                assert as_permutation(m) == perm, (n, k, m)
                 assert len(set(perm)) == n, (n, k, m)
                 for cls, (rows, fast) in zip(pi, mapped):
                     image = tuple(sorted(perm[x] for x in cls))
@@ -359,7 +394,7 @@ def check_multiplier_action(n_max: int = 72) -> int:
                 strict=True,
             )
             for m, (rows, fast) in sample:
-                perm = as_permutation(m)
+                perm = multiplier_action_reference(m.rows, n)
                 assert rows == m.rows, (n, s.members, m, rows)
                 assert fast == tuple(sorted(perm[x] for x in s.members)), (n, s.members, m)
                 checked += 1

@@ -358,12 +358,21 @@ def test_verify_theorems_caps_workers_at_tasks(monkeypatch):
 
     # verify_theorems imports the pool class from here when it needs one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    # the host's CPU count, fixed here so the caps below do not depend on it
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
     # cells (4, 3) and (5, 3): one task per n, so two tasks
     assert verify_theorems(5, 3, workers=64) == verify_theorems(5, 3)
     assert started == [2]
     # a single task runs in-process
     assert verify_theorems(4, 3, workers=64) == verify_theorems(4, 3)
     assert started == [2]
+    # four tasks (n = 4..7) on three CPUs: three workers
+    assert verify_theorems(7, 3, workers=4096) == verify_theorems(7, 3)
+    assert started == [2, 3]
+    # an unknown CPU count caps the pool at one worker, so no pool starts
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert verify_theorems(7, 3, workers=4096) == verify_theorems(7, 3)
+    assert started == [2, 3]
 
 
 def test_orbit_closure_of_verdicts():

@@ -5,13 +5,11 @@ from math import gcd
 
 import pytest
 
-from checks import enumerate_keys
+from checks import enumerate_keys, multiplier_action_reference
 from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import Key, key_of_set, zero_key
 from circulant_ci.multipliers import (
     GenuineMultiplier,
-    apply_multiplier,
-    apply_multiplier_prime,
     as_permutation,
     genuine_multipliers_prime_power,
     solving_set,
@@ -20,16 +18,14 @@ from circulant_ci.zn import DomainError, factorize
 
 
 def test_apply_prime_example():
-    assert apply_multiplier_prime((1, 1, 3), 5, 2, 3) == 7
+    assert multiplier_action_reference(((1, 1, 3),), 8)[5] == 7
 
 
 def test_all_ones_is_identity():
     for p, t in ((2, 3), (3, 2), (5, 1)):
         q = p**t
         row = (1,) * t
-        assert [apply_multiplier_prime(row, x, p, t) for x in range(q)] == list(
-            range(q)
-        )
+        assert multiplier_action_reference((row,), q) == tuple(range(q))
 
 
 def test_prime_square_action_formula():
@@ -39,9 +35,10 @@ def test_prime_square_action_formula():
         coprime = [m for m in range(1, q) if m % p]
         for m1 in coprime:
             for m2 in coprime:
-                for x in range(q):
-                    expected = (m2 * (x % p) + m1 * (x // p) * p) % q
-                    assert apply_multiplier_prime((m1, m2), x, p, 2) == expected
+                expected = tuple(
+                    (m2 * (x % p) + m1 * (x // p) * p) % q for x in range(q)
+                )
+                assert multiplier_action_reference(((m1, m2),), q) == expected
 
 
 def _z8_multiplier():
@@ -52,13 +49,9 @@ def _z8_multiplier():
 def test_apply_multiplier_composite():
     f = factorize(36)
     ones = GenuineMultiplier(((1, 1), (1, 1)), zero_key(f))
-    assert [apply_multiplier(ones, x) for x in range(36)] == list(range(36))
-    assert {apply_multiplier(_z8_multiplier(), x) for x in (1, 2, 5)} == {2, 3, 7}
-
-
-def test_apply_multiplier_rejects_wrong_modulus():
-    with pytest.raises(DomainError):
-        apply_multiplier(_z8_multiplier(), 8)
+    assert as_permutation(ones) == tuple(range(36))
+    perm = as_permutation(_z8_multiplier())
+    assert {perm[x] for x in (1, 2, 5)} == {2, 3, 7}
 
 
 def test_zero_key_multipliers_act_as_units():

@@ -176,6 +176,18 @@ def test_unit_action_stated_once():
     assert not found, found
 
 
+def test_multiplier_action_stated_once():
+    # multipliers._digit_terms is the one code outside zn that reads the CRT
+    # idempotents, so the solving-set scan and as_permutation share its terms
+    reads = [
+        (path.stem, scope, line)
+        for path, tree in _trees()
+        if path.stem != "zn"
+        for scope, line in _attribute_reads(tree, "idempotents")
+    ]
+    assert reads and all(r[:2] == ("multipliers", "_digit_terms") for r in reads), reads
+
+
 def _resolve(dotted: str):
     """The object a name such as "keys.key_partition" denotes in the package."""
     mod, _, rest = dotted.partition(".")

@@ -7,8 +7,6 @@ import pytest
 from circulant_ci.zn import (
     DomainError,
     Factorization,
-    crt_decode,
-    crt_encode,
     factorize,
     generated_subgroup,
     order_exponent,
@@ -38,30 +36,6 @@ def test_factorization_validates_parts():
         Factorization(8, ((8, 1),))  # not prime
 
 
-def test_crt_encode_examples():
-    assert crt_encode(7, factorize(36)) == (3, 7)
-    assert crt_encode(0, factorize(60)) == (0, 0, 0)
-    assert crt_encode(5, factorize(8)) == (5,)
-
-
-def test_crt_decode_examples():
-    assert crt_decode((3, 7), factorize(36)) == 7
-    assert crt_decode((0, 0), factorize(36)) == 0
-    assert crt_decode((1, 0), factorize(36)) == 9
-
-
-def test_crt_decode_matches_scan():
-    # independent oracle: scan for the residue matching every congruence
-    for n, comps in ((36, (1, 0)), (60, (1, 2, 4)), (45, (4, 2))):
-        f = factorize(n)
-        expected = next(
-            x
-            for x in range(n)
-            if all(x % q == c for q, c in zip(f.prime_powers, comps))
-        )
-        assert crt_decode(comps, f) == expected
-
-
 def test_idempotents_examples():
     assert factorize(36).idempotents == (9, 28)
     assert factorize(8).idempotents == (1,)
@@ -78,22 +52,6 @@ def test_idempotents_are_the_crt_basis():
             assert 0 <= e < n
             assert [e % r for r in qs] == [int(r == q) for r in qs]
         assert sum(f.idempotents) % n == 1
-
-
-def test_crt_errors():
-    f = factorize(36)
-    with pytest.raises(DomainError):
-        crt_encode(36, f)
-    with pytest.raises(DomainError):
-        crt_decode((1,), f)
-    with pytest.raises(DomainError):
-        crt_decode((4, 1), f)  # first component not reduced mod 4
-
-
-def test_crt_round_trip_up_to_200():
-    for n in range(2, 201):
-        f = factorize(n)
-        assert all(crt_decode(crt_encode(x, f), f) == x for x in range(n))
 
 
 def test_order_exponent_matches_element_order():
