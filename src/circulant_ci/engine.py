@@ -39,7 +39,6 @@ from .zn import (
     DomainError,
     InternalConsistencyError,
     factorize,
-    generated_subgroup,
     is_prime,
     subgroup_of_order,
 )
@@ -194,12 +193,12 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
 
 
 def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
-    # is_ci_reduced for a non-empty S whose key k is already known
-    sub = generated_subgroup(s.members, s.n)
-    n_sub = len(sub)
-    if n_sub == s.n:
+    # is_ci_reduced for a non-empty S whose key k is already known; <S> is
+    # the subgroup of index g
+    g = math.gcd(s.n, *s.members)
+    if g == 1:
         return _is_ci(s, k)
-    g = s.n // n_sub
+    n_sub = s.n // g
     reduced = ConnectionSet(n_sub, tuple(sorted(x // g for x in s.members)), s.mode)
     verdict = is_ci(reduced)
     if verdict.is_ci:
@@ -254,7 +253,7 @@ def recognize_coset_case(s: ConnectionSet) -> CosetCase | None:
         if found:
             sub, shift = found
             p = len(sub)
-            if n % (p * p) == 0 and len(generated_subgroup(s.members, n)) == n:
+            if n % (p * p) == 0 and math.gcd(n, *s.members) == 1:
                 return CosetCase("iii", sub, shift)
     return None
 
@@ -271,10 +270,10 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     if not s.members:
         return CiVerdict(True)
     k = key_of_set(s)
-    # rows are nondecreasing, so a row is zero iff its last entry is; with
-    # n = 4 (mod 8) the 2-row is (0, 1) exactly when its last entry is 1
-    last = [row[-1] for row in k.rows]
-    if not any(last) or (s.n % 8 == 4 and last[0] == 1 and not any(last[1:])):
+    # rows are nondecreasing, so a row is zero iff its last entry is; the
+    # rows of the prime powers _scans rejects are all (almost) zero
+    parts = k.factorization.parts
+    if not any(row[-1] for (p, t), row in zip(parts, k.rows) if _scans(p, t)):
         return CiVerdict(True, None, "zero-key")
     case = recognize_coset_case(s)
     if case is not None:
@@ -297,17 +296,9 @@ def _check_nm(n: int, m: int) -> None:
 def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
     """All member tuples of size m (graph mode: inverse-closed only)."""
     if mode == "digraph":
-        yield from combinations(range(1, n), m)
-        return
-    pairs = [(x, n - x) for x in range(1, (n + 1) // 2)]
-    if m % 2 == 0:
-        for combo in combinations(pairs, m // 2):
-            yield tuple(sorted(x for pair in combo for x in pair))
-    elif n % 2 == 0:
-        half = n // 2
-        for combo in combinations(pairs, (m - 1) // 2):
-            yield tuple(sorted((half, *(x for pair in combo for x in pair))))
-    # odd m with odd n: no inverse-closed sets exist
+        # the blocks are single residues, whose unions combinations lists
+        return combinations(range(1, n), m)
+    return _unions(_blocks([(x,) for x in range(1, n)], n, mode), m)
 
 
 def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
@@ -358,8 +349,19 @@ def _unions(blocks: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[int, ..
         yield tuple(sorted(x for block in chosen for x in block))
 
 
-def _with_negatives(block: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(sorted(set(block) | {-x % n for x in block}))
+def _blocks(blocks: Iterable[tuple[int, ...]], n: int, mode: str) -> list[tuple[int, ...]]:
+    # the blocks a connection set of this mode is a union of: in graph mode
+    # each block joined with its negatives, the first of equal ones kept
+    if mode == "digraph":
+        return list(blocks)
+    closed = (tuple(sorted(set(block) | {-x % n for x in block})) for block in blocks)
+    return list(dict.fromkeys(closed))
+
+
+def _scans(p: int, t: int) -> bool:
+    # a key row of p^t can be neither zero nor the almost zero row (0, 1):
+    # a row of p is (0,), and a row of 4 is (0, 0) or (0, 1)
+    return t >= 2 and (p, t) != (2, 2)
 
 
 def _key_candidates(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
@@ -367,16 +369,12 @@ def _key_candidates(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
     # neither zero nor almost zero, each once; see m_property
     done: list[int] = []
     for p, t in factorize(n).parts:
-        if t < 2 or (p, t) == (2, 2):
+        if not _scans(p, t):
             continue
         step = n // p
         cosets = [tuple(range(x, n, step)) for x in range(1, step) if x % p]
         multiples = [(x,) for x in range(p, n, p)]
-        if mode == "graph":
-            # a block with its negative; dict keeps the first of each
-            cosets = list(dict.fromkeys(_with_negatives(c, n) for c in cosets))
-            multiples = list(dict.fromkeys(_with_negatives(b, n) for b in multiples))
-        for mem in _unions(cosets + multiples, m):
+        for mem in _unions(_blocks(cosets + multiples, n, mode), m):
             if not any(_coset_closed(mem, n, q) for q in done):
                 yield mem
         done.append(p)
@@ -393,15 +391,15 @@ def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     last entry of a row bounds the rest and the stabilizer test for it
     (j = t, step n/p) moves only the members prime to p.  So the part of
     S prime to p is a union of cosets x + <n/p>, and the rest is any set
-    of non-zero multiples of p; in graph mode each coset joins its
-    negative, each multiple x joins n - x, and n/2 stands alone.  When
-    4 || n the only non-zero 2-row is the almost zero key, so p = 2
-    counts only when 8 | n.  A set that also meets the condition at an
-    earlier prime is skipped at the later one, so none is visited twice.  The key is
-    unit-invariant, so the least member of every unit orbit is among the
-    visited sets, and the kept representatives are exactly those of
-    orbit_representatives whose key is not (almost) zero.  A visited set
-    that decide_ci answers by the zero key raises InternalConsistencyError.
+    of non-zero multiples of p; _blocks closes these blocks under
+    negation in graph mode.  Only the prime powers _scans accepts count:
+    at the others every row is zero or almost zero.  A set that also
+    meets the condition at an earlier prime is skipped at the later one,
+    so none is visited twice.  The key is unit-invariant, so the least
+    member of every unit orbit is among the visited sets, and the kept
+    representatives are exactly those of orbit_representatives whose key
+    is not (almost) zero.  A visited set that decide_ci answers by the
+    zero key raises InternalConsistencyError.
 
     Single valencies carry no closed-form predicate (those quantify over
     all valencies up to m), so the predicate fields stay None here.

@@ -65,14 +65,11 @@ class Factorization:
             raise DomainError(f"prime powers multiply to {prod}, not {self.n}")
 
     @cached_property
-    def prime_powers(self) -> tuple[int, ...]:
-        return tuple(p**t for p, t in self.parts)
-
-    @cached_property
     def idempotents(self) -> tuple[int, ...]:
         """CRT idempotent per prime power q: 1 mod q and 0 mod n / q."""
         out = []
-        for q in self.prime_powers:
+        for p, t in self.parts:
+            q = p**t
             m = self.n // q
             out.append(m * pow(m, -1, q) % self.n)
         return tuple(out)

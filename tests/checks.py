@@ -11,9 +11,10 @@ class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
 multiplier action with its own CRT recombination, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
-the Burnside count of the unit orbits, the sweep's old enumeration (every
-orbit representative, filtered by its key), and the CI scan that lists the
-whole unit orbit before it looks at an image.
+the Burnside count of the unit orbits, the enumeration of connection sets
+by combinations of residues or of pairs {x, -x}, the sweep's old
+enumeration (every orbit representative, filtered by its key), and the CI
+scan that lists the whole unit orbit before it looks at an image.
 The library's decision path uses none of them.
 """
 
@@ -540,6 +541,24 @@ def _ci_keys(n: int) -> set[Key]:
     return {zero_key(f), almost_zero_key(f)} if n % 8 == 4 else {zero_key(f)}
 
 
+def connection_set_reference(n: int, m: int, mode: str):
+    """All member tuples of size m (graph mode: inverse-closed only), from
+    combinations of the residues, or in graph mode of the pairs
+    (x, n - x) with n/2 alone: the reference for connection_set_tuples."""
+    if mode == "digraph":
+        yield from combinations(range(1, n), m)
+        return
+    pairs = [(x, n - x) for x in range(1, (n + 1) // 2)]
+    if m % 2 == 0:
+        for combo in combinations(pairs, m // 2):
+            yield tuple(sorted(x for pair in combo for x in pair))
+    elif n % 2 == 0:
+        half = n // 2
+        for combo in combinations(pairs, (m - 1) // 2):
+            yield tuple(sorted((half, *(x for pair in combo for x in pair))))
+    # odd m with odd n: no inverse-closed sets exist
+
+
 def orbit_least_reference(tuples, n: int) -> tuple[tuple[int, ...], ...]:
     """The tuples that are lexicographically least in their unit orbit,
     ascending, tested against one table of x -> ux per unit u != 1 (u = 1
@@ -589,8 +608,9 @@ def orbit_count(n: int, m: int, mode: str) -> int:
 
 
 def check_orbit_filter(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int = 5) -> int:
-    """orbit_representatives against orbit_least_reference over every
-    connection set, and its length against orbit_count, on the cells of
+    """connection_set_tuples against connection_set_reference as sets of
+    tuples, orbit_representatives against orbit_least_reference over the
+    reference's tuples, and its length against orbit_count, on the cells of
     check_key_enumeration: every m for n <= n_max in both modes, and for
     n_max < n <= wide_n_max every m in graph mode and m <= wide_m_max in
     digraph mode."""
@@ -600,8 +620,10 @@ def check_orbit_filter(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int = 
             m_top = n - 1 if n <= n_max or mode == "graph" else min(wide_m_max, n - 1)
             for m in range(1, m_top + 1):
                 cell = (n, m, mode)
+                tuples = sorted(connection_set_reference(n, m, mode))
+                assert sorted(connection_set_tuples(n, m, mode)) == tuples, cell
                 representatives = orbit_representatives(n, m, mode)
-                reference = orbit_least_reference(connection_set_tuples(n, m, mode), n)
+                reference = orbit_least_reference(tuples, n)
                 assert representatives == reference, cell
                 assert len(representatives) == orbit_count(n, m, mode), cell
                 checked += 1
@@ -614,7 +636,7 @@ def key_representatives_reference(n: int, m: int, mode: str) -> tuple[tuple[int,
     trivial = _ci_keys(n)
     return tuple(
         mem
-        for mem in orbit_least_reference(connection_set_tuples(n, m, mode), n)
+        for mem in orbit_least_reference(connection_set_reference(n, m, mode), n)
         if key_of_set(ConnectionSet(n, mem, mode)) not in trivial
     )
 

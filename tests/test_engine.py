@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from checks import connection_set_reference
 from circulant_ci import engine
 from circulant_ci.cayley import ConnectionSet, orbit_members
 from circulant_ci.multipliers import as_permutation
@@ -217,9 +218,15 @@ def test_orbit_representatives_cover_all_sets():
         for rep in reps:
             for u in units(n):
                 seen.add(tuple(sorted(u * x % n for x in rep)))
-        from circulant_ci.engine import connection_set_tuples
+        assert seen == set(connection_set_reference(n, m, mode))
 
-        assert seen == set(connection_set_tuples(n, m, mode))
+
+def test_unions_pick_the_largest_blocks_first():
+    # the order the sweep visits its candidates in: the larger blocks are
+    # chosen first, in their given order, and the smallest complete each choice
+    blocks = [(4,), (1, 2, 3), (5,), (6,)]
+    assert list(engine._unions(blocks, 3)) == [(4, 5, 6), (1, 2, 3)]
+    assert list(engine._unions(blocks, 4)) == [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)]
 
 
 def test_is_m_group_examples():

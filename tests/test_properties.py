@@ -4,9 +4,11 @@ join, multiplier structure, genuine rows and their order against the
 entry-by-entry rule, the reduction through the generated subgroup, the
 isomorphism oracle against the backtracking reference, the sweep's
 enumeration of the sets whose key is not (almost) zero against every orbit
-representative filtered by its key, the orbit filter against the filter
-with one table per unit and against the Burnside count of the orbits, and
-the lazy CI scan against the scan that lists the whole unit orbit first."""
+representative filtered by its key, the enumeration of connection sets
+against the one by residues and pairs {x, -x}, the orbit filter against
+the filter with one table per unit and against the Burnside count of the
+orbits, and the lazy CI scan against the scan that lists the whole unit
+orbit first."""
 
 import checks
 

@@ -188,6 +188,29 @@ def test_multiplier_action_stated_once():
     assert reads and all(r[:2] == ("multipliers", "_digit_terms") for r in reads), reads
 
 
+def _states_scan_condition(node: ast.AST) -> bool:
+    # the tuple (2, 2), or a comparison x % 8 == 4
+    if isinstance(node, ast.Tuple):
+        return ast.unparse(node) == "(2, 2)"
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.Mod)
+        and ast.unparse(node.left.right) == "8"
+        and [type(op) for op in node.ops] == [ast.Eq]
+        and ast.unparse(node.comparators[0]) == "4"
+    )
+
+
+def test_scan_condition_stated_once():
+    # engine._scans is the one statement of the prime powers whose key row
+    # can force a scan, which the zero-key shortcut and the sweep's
+    # enumerator both read
+    (path,) = [path for path in SOURCES if path.stem == "engine"]
+    scopes = list(_scoped(_parse(path), _states_scan_condition))
+    assert scopes and all(scope == "_scans" for scope, _ in scopes), scopes
+
+
 def _resolve(dotted: str):
     """The object a name such as "keys.key_partition" denotes in the package."""
     mod, _, rest = dotted.partition(".")

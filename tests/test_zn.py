@@ -46,8 +46,8 @@ def test_idempotents_are_the_crt_basis():
     # e_i = 1 mod q_i and 0 mod every other prime power, so they sum to 1
     for n in range(2, 201):
         f = factorize(n)
-        qs = f.prime_powers
-        assert f.prime_powers is qs
+        qs = [p**t for p, t in f.parts]
+        assert f.idempotents is f.idempotents
         for e, q in zip(f.idempotents, qs):
             assert 0 <= e < n
             assert [e % r for r in qs] == [int(r == q) for r in qs]
