@@ -17,11 +17,15 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
-from .zn import DomainError, InternalConsistencyError, units
+from .zn import DomainError, InternalConsistencyError, _check_modulus, units
 
 MODES = ("digraph", "graph")
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise DomainError(f"mode must be one of {MODES}")
 
 
 class OracleCutoffError(RuntimeError):
@@ -37,10 +41,8 @@ class ConnectionSet:
     mode: str = "digraph"
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("modulus must be at least 2")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}")
+        _check_modulus(self.n)
+        _check_mode(self.mode)
         if tuple(sorted(set(self.members))) != self.members:
             raise DomainError("members must be a strictly increasing tuple")
         for s in self.members:
@@ -67,12 +69,6 @@ class CayleyDigraph:
     @property
     def n(self) -> int:
         return self.connection.n
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Out-neighbours of every vertex g: the translate S + g."""
-        n, members = self.n, self.connection.members
-        return tuple(frozenset((g + m) % n for m in members) for g in range(n))
 
 
 def build_cayley(s: ConnectionSet) -> CayleyDigraph:
@@ -129,7 +125,7 @@ def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
 
 
 def _out_in(g: CayleyDigraph):
-    """Out- and in-neighbours of every vertex, as translates of S and -S."""
+    """The arcs: out- and in-neighbours of every vertex, as translates of S and -S."""
     n, members = g.n, g.connection.members
     out = [[(v + s) % n for s in members] for v in range(n)]
     return out, [[(v - s) % n for s in members] for v in range(n)]

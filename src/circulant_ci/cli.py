@@ -26,7 +26,7 @@ from .cayley import (
 )
 from .engine import ClassificationReport, DisagreementError
 from .keys import key_of_set, key_partition
-from .zn import DomainError
+from .zn import DomainError, _check_modulus
 
 FORMATS = ("json", "csv", "text")
 
@@ -51,8 +51,7 @@ def parse_residues(text: str, n: int) -> tuple[int, ...]:
 
 
 def _make_set(n: int, text: str, mode: str, close_inverses: bool) -> ConnectionSet:
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
+    _check_modulus(n)  # before parsing, which reduces every residue mod n
     members = set(parse_residues(text, n))
     if close_inverses:
         members |= {(-x) % n for x in members}

@@ -32,12 +32,13 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cayley import MODES, ConnectionSet, _unit_multiples, orbit_members
-from .keys import Key, key_of_set
+from .cayley import ConnectionSet, _check_mode, _unit_multiples, orbit_members
+from .keys import Key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
     DomainError,
     InternalConsistencyError,
+    _check_modulus,
     factorize,
     is_prime,
     subgroup_of_order,
@@ -119,9 +120,15 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
 
     Different keys settle it negatively at once; equal keys reduce the
     question to scanning the solving set for a permutation with S^f = T.
-    The recorded witness is the first hit in enumeration order.
+    The recorded witness is the first hit in enumeration order.  The empty
+    set has no key, and is isomorphic to itself only, by the identity.
     """
     _check_pair(s, t)
+    if not (s.members and t.members):
+        if s.members or t.members:
+            return IsoVerdict(False, "key-mismatch")
+        identity = next(iter(solving_set(zero_key(factorize(s.n)))))
+        return IsoVerdict(True, "multiplier-found", identity)
     ks = key_of_set(s)
     kt = key_of_set(t)
     if ks != kt:
@@ -138,7 +145,10 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
 
     By the criterion this is the full isomorphism class of Cay(Z_n, S)
     among connection sets.  Every image is checked to carry the same key.
+    The empty set is alone in its class.
     """
+    if not s.members:
+        return (s,)
     k = key_of_set(s)
     images = {image for _, image in solving_set(k).images(s.members)}
     return tuple(_mate(s, mem, k) for mem in sorted(images))
@@ -281,14 +291,8 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     return _is_ci_reduced(s, k)
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}")
-
-
 def _check_nm(n: int, m: int) -> None:
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
+    _check_modulus(n)
     if not 1 <= m <= n - 1:
         raise DomainError("valency must lie in 1..n-1")
 
@@ -471,8 +475,7 @@ _CI_EXCEPTIONS = (8, 9, 18)
 
 def _no_square_below(n: int, bound: float) -> bool:
     # n divisible by neither 8 nor p^2 for any odd prime p < bound
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
+    _check_modulus(n)
     if n % 8 == 0:
         return False
     return not any(p != 2 and t >= 2 and p < bound for p, t in factorize(n).parts)

@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .cayley import ConnectionSet
 from .zn import (
     DomainError,
     Factorization,
@@ -41,6 +42,14 @@ from .zn import (
     factorize,
     order_exponent,
 )
+
+
+def _check_rows(rows, parts: tuple[tuple[int, int], ...], noun: str) -> None:
+    # the shape shared by keys and multipliers: one tuple row per prime power
+    if not isinstance(rows, tuple) or not all(isinstance(row, tuple) for row in rows):
+        raise DomainError(f"{noun} rows must be a tuple of tuples")
+    if len(rows) != len(parts):
+        raise DomainError(f"one {noun} row per prime power required")
 
 
 def _check_key_row(row: tuple[int, ...], t: int) -> None:
@@ -62,12 +71,7 @@ class Key:
 
     def __post_init__(self) -> None:
         parts = self.factorization.parts
-        if not isinstance(self.rows, tuple) or not all(
-            isinstance(row, tuple) for row in self.rows
-        ):
-            raise DomainError("key rows must be a tuple of tuples")
-        if len(self.rows) != len(parts):
-            raise DomainError("one key row per prime power required")
+        _check_rows(self.rows, parts, "key")
         for (_, t), row in zip(parts, self.rows):
             _check_key_row(row, t)
 
@@ -127,27 +131,24 @@ def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
-def key_of_set(s) -> Key:
+def key_of_set(s: ConnectionSet) -> Key:
     """The coarsest key whose partition refines {S, Z_n minus S}, found row
     by row by the stabilizer test on the members of S (see the module
     docstring).
 
-    Accepts anything with ``n`` and ``members`` attributes (a connection
-    set); S must be non-empty and exclude 0, so the complement is never
-    empty.  The result is checked against its definition: for every member
-    x and prime p with entry k > 0 at the order exponent of x, x + n / p^k
-    lies in S, which is exactly "the key partition refines {S, complement}".
+    Takes a ConnectionSet, whose constructor has checked n and the members;
+    S must be non-empty (it excludes 0), so the complement is never empty.
+    The result is checked against its definition: for every member x and
+    prime p with entry k > 0 at the order exponent of x, x + n / p^k lies
+    in S, which is exactly "the key partition refines {S, complement}".
     """
-    members = tuple(s.members)
-    n = s.n
+    if not isinstance(s, ConnectionSet):
+        raise DomainError(f"key_of_set takes a ConnectionSet, not {type(s).__name__}")
+    members, n = s.members, s.n
     if not members:
         raise DomainError("key of the empty set is undefined")
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
     inside = bytearray(n)
     for x in members:
-        if not 0 <= x < n:
-            raise DomainError(f"{x} is not a canonical residue mod {n}")
         inside[x] = 1
     f = factorize(n)
     rows = []

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .keys import Key, _check_key_row
+from .keys import Key, _check_key_row, _check_rows
 from .zn import DomainError, Factorization, is_prime
 
 
@@ -42,12 +42,7 @@ class GenuineMultiplier:
 
     def __post_init__(self) -> None:
         parts = self.key.factorization.parts
-        if not isinstance(self.rows, tuple) or not all(
-            isinstance(row, tuple) for row in self.rows
-        ):
-            raise DomainError("multiplier rows must be a tuple of tuples")
-        if len(self.rows) != len(parts):
-            raise DomainError("one multiplier row per prime power required")
+        _check_rows(self.rows, parts, "multiplier")
         for (p, t), row, krow in zip(parts, self.rows, self.key.rows):
             if row not in _genuine_rows(krow, p, t):
                 raise DomainError(
@@ -71,16 +66,14 @@ def _digit_terms(
     multiplier's image of x is its flattened row entries times the terms
     x_i p^i e of x, summed mod n.
     """
-    # per member, the term x_i p^i e that each row entry scales, in the
-    # order of the entries: entry a of the row of p^t scales i = t - 1 - a
-    return [
-        tuple(
-            x // p**i % p * p**i * e
-            for (p, t), e in zip(f.parts, f.idempotents)
-            for i in reversed(range(t))
-        )
-        for x in members
+    # (p, p^i, e) of the term x_i p^i e each row entry scales, in entry
+    # order: entry a of the row of p^t scales i = t - 1 - a
+    places = [
+        (p, p**i, e)
+        for (p, t), e in zip(f.parts, f.idempotents)
+        for i in reversed(range(t))
     ]
+    return [tuple(x // q % p * q * e for p, q, e in places) for x in members]
 
 
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:

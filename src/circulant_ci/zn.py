@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 
 class DomainError(ValueError):
@@ -36,6 +36,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def _check_modulus(n: int) -> None:
+    # Z_n with n >= 2 is the domain of every object in the package
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Ordered prime-power decomposition n = p1^t1 * ... * pl^tl.
@@ -48,8 +54,7 @@ class Factorization:
     parts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise DomainError("modulus must be at least 2")
+        _check_modulus(self.n)
         prod = 1
         prev = 1
         for p, t in self.parts:
@@ -64,7 +69,7 @@ class Factorization:
         if prod != self.n:
             raise DomainError(f"prime powers multiply to {prod}, not {self.n}")
 
-    @cached_property
+    @property
     def idempotents(self) -> tuple[int, ...]:
         """CRT idempotent per prime power q: 1 mod q and 0 mod n / q."""
         out = []
@@ -119,8 +124,7 @@ def order_exponent(x: int, p: int, t: int) -> int:
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def units(n: int) -> tuple[int, ...]:
     """Ascending units of Z_n; multiplication by these realizes Aut(Z_n)."""
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
+    _check_modulus(n)
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
 
 

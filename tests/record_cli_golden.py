@@ -30,6 +30,8 @@ CASES = (
     ["iso", "8", "1,2,5", "1,5,6", "--oracle"],
     ["iso", "8", "1,2,5", "1,2,3", "--oracle"],
     ["iso", "12", "1,5", "1,7", "--mode", "graph", "--close-inverses"],
+    ["iso", "8", "", ""],
+    ["iso", "8", "", "1", "--oracle"],
     ["ci", "8", "1,2,5"],
     ["ci", "9", "1,4,7"],
     ["ci", "12", "1,5"],

@@ -8,7 +8,7 @@ import pytest
 from checks import connection_set_reference
 from circulant_ci import engine
 from circulant_ci.cayley import ConnectionSet, orbit_members
-from circulant_ci.multipliers import as_permutation
+from circulant_ci.multipliers import as_permutation, solving_set
 from circulant_ci.engine import (
     decide_ci,
     is_ci,
@@ -26,7 +26,7 @@ from circulant_ci.engine import (
     verify_theorems,
     witnesses,
 )
-from circulant_ci.keys import key_of_set
+from circulant_ci.keys import key_of_set, zero_key
 from circulant_ci.zn import DomainError, InternalConsistencyError, factorize, units
 
 
@@ -45,13 +45,20 @@ def test_muzychuk_examples():
     v2 = muzychuk_isomorphic(_cs(8, (1, 2, 5)), _cs(8, (1, 2, 3)))
     assert not v2.isomorphic and v2.reason == "key-mismatch"
     assert v2.witness_multiplier is None
+    # the empty set has no key: it is isomorphic to itself by the first
+    # multiplier of the zero key (the identity), and to no other set
+    v3 = muzychuk_isomorphic(_cs(8, ()), _cs(8, ()))
+    assert v3.isomorphic and v3.reason == "multiplier-found"
+    assert v3.witness_multiplier == next(iter(solving_set(zero_key(factorize(8)))))
+    assert v3.witness_multiplier.rows == ((1, 1, 1),)
+    for s, t in (((), (1,)), ((1,), ())):
+        v4 = muzychuk_isomorphic(_cs(8, s), _cs(8, t))
+        assert (v4.isomorphic, v4.reason, v4.witness_multiplier) == (False, "key-mismatch", None)
 
 
 def test_muzychuk_domain_errors():
     with pytest.raises(DomainError):
         muzychuk_isomorphic(_cs(8, (1,)), _cs(9, (1,)))
-    with pytest.raises(DomainError, match="empty"):
-        muzychuk_isomorphic(_cs(8, (1,)), _cs(8, ()))
     with pytest.raises(DomainError, match="mode"):
         muzychuk_isomorphic(_cs(8, (1, 7), "graph"), _cs(8, (1, 7), "digraph"))
 
@@ -73,7 +80,8 @@ def test_isomorphism_class_of_z8_witness():
 
 
 def test_isomorphism_class_zero_key_is_orbit():
-    for s in (_cs(12, (1, 5)), _cs(9, (4,))):
+    # the empty set has no key, and is alone in its class, its orbit
+    for s in (_cs(12, (1, 5)), _cs(9, (4,)), _cs(12, (), "graph")):
         orbit = orbit_members(s.members, s.n)
         assert tuple(t.members for t in isomorphism_class(s)) == orbit
 

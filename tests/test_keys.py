@@ -2,6 +2,7 @@
 lattice references in checks."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,6 +44,8 @@ def test_key_invariants_enforced():
         _key(8, (0, 1))  # wrong row length
     with pytest.raises(DomainError, match="tuple"):
         Key(factorize(8), ([0, 0, 1],))  # a list row would be unhashable
+    with pytest.raises(DomainError, match="per prime power"):
+        Key(factorize(72), ((0, 0, 1),))  # zip would drop the row of 9
 
 
 def test_enumerate_prime_power_rows():
@@ -145,6 +148,9 @@ def test_key_of_set_examples():
     assert key_of_set(ConnectionSet(9, (1, 4, 7))).rows == ((0, 1),)
     with pytest.raises(DomainError, match="empty"):
         key_of_set(ConnectionSet(9, ()))
+    # n and members are checked by the ConnectionSet constructor only
+    with pytest.raises(DomainError, match="ConnectionSet"):
+        key_of_set(SimpleNamespace(n=8, members=(1, 2, 5)))
     # {0} apart from everything is refined by every key partition, so the
     # key of Z_n minus {0} is the largest one, row (0, 1, ..., t-1) per prime
     for n in (8, 36, 72):

@@ -70,6 +70,8 @@ def test_generalized_multiplier_validation():
         GenuineMultiplier(((1,),), z9)  # wrong row length
     with pytest.raises(DomainError, match="tuple"):
         GenuineMultiplier(([1, 1],), z9)  # a list row would be unhashable
+    with pytest.raises(DomainError, match="per prime power"):
+        GenuineMultiplier(((1, 1), (1,)), z9)  # one row too many
 
 
 def test_genuine_rows_examples():

@@ -71,7 +71,8 @@ def _finite_maxsize(node: ast.expr) -> bool:
 def test_every_cache_is_bounded():
     # memory stays flat over long sweeps only if no cache grows without bound;
     # the list of cached functions is pinned, so a new cache is a decision,
-    # and every *_CACHE_SIZE constant bounds some cache, so none is orphaned
+    # and every *_CACHE_SIZE constant bounds some cache, so none is orphaned;
+    # no cached_property either, so a record holds its fields and nothing else
     found = []
     cached = []
     constants = []
@@ -95,7 +96,9 @@ def test_every_cache_is_bounded():
                             for size in _maxsizes(dec)
                             if isinstance(size, ast.Name)
                         )
-                    if name == "cache" or (name == "lru_cache" and not _finite_maxsize(dec)):
+                    if name in ("cache", "cached_property") or (
+                        name == "lru_cache" and not _finite_maxsize(dec)
+                    ):
                         found.append(f"{path.name}:{dec.lineno} {node.name}")
     assert not found, found
     assert sorted(cached) == [
@@ -186,6 +189,31 @@ def test_multiplier_action_stated_once():
         for scope, line in _attribute_reads(tree, "idempotents")
     ]
     assert reads and all(r[:2] == ("multipliers", "_digit_terms") for r in reads), reads
+
+
+# the message of each input check, and the one function that raises it
+INPUT_CHECKS = {
+    "modulus must be at least 2": ("zn", "_check_modulus"),
+    "mode must be one of": ("cayley", "_check_mode"),
+    "rows must be a tuple of tuples": ("keys", "_check_rows"),
+}
+
+
+def test_input_checks_stated_once():
+    # each check is written once, in the module that owns the concept, and
+    # every other module calls it
+    for phrase, owner in INPUT_CHECKS.items():
+        found = [
+            (path.stem, scope)
+            for path, tree in _trees()
+            for scope, _ in _scoped(
+                tree,
+                lambda node: isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and phrase in node.value,
+            )
+        ]
+        assert found == [owner], (phrase, found)
 
 
 def _states_scan_condition(node: ast.AST) -> bool:
