@@ -14,11 +14,10 @@ its cutoff.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 
-from .zn import DomainError, InternalConsistencyError, _check_modulus, units
+from .zn import DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
 
 MODES = ("digraph", "graph")
 
@@ -32,39 +31,36 @@ class OracleCutoffError(RuntimeError):
     """The brute-force oracle refuses inputs above its configured cutoff."""
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
+class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
     """A subset of Z_n minus {0}; graph mode additionally needs S = -S."""
 
-    n: int
-    members: tuple[int, ...]
-    mode: str = "digraph"
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        _check_modulus(self.n)
-        _check_mode(self.mode)
-        if tuple(sorted(set(self.members))) != self.members:
+    def __new__(cls, n: int, members: tuple[int, ...], mode: str = "digraph"):
+        _check_modulus(n)
+        _check_mode(mode)
+        if tuple(sorted(set(members))) != members:
             raise DomainError("members must be a strictly increasing tuple")
-        for s in self.members:
-            if not 1 <= s < self.n:
+        for s in members:
+            if not 1 <= s < n:
                 raise DomainError(
                     "connection set members must lie in 1..n-1 (0 is excluded)"
                 )
-        if self.mode == "graph":
-            if {(-s) % self.n for s in self.members} != set(self.members):
-                raise DomainError("graph connection set must be inverse-closed")
+        if mode == "graph" and {(-s) % n for s in members} != set(members):
+            raise DomainError("graph connection set must be inverse-closed")
+        return super().__new__(cls, n, members, mode)
 
     @property
     def valency(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class CayleyDigraph:
+class CayleyDigraph(namedtuple("CayleyDigraph", "connection")):
     """Vertex set Z_n with the arc (g, s+g) for every member s: the arcs are
     derived from S, so every CayleyDigraph is translation-invariant."""
 
-    connection: ConnectionSet
+    __slots__ = ()
 
     @property
     def n(self) -> int:

@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import math
 import os
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cayley import ConnectionSet, _check_mode, _unit_multiples, orbit_members
@@ -45,58 +45,50 @@ from .zn import (
 )
 
 
-@dataclass(frozen=True)
-class IsoVerdict:
-    """Outcome of an isomorphism decision between two connection sets."""
+class IsoVerdict(
+    namedtuple("IsoVerdict", "isomorphic reason witness_multiplier", defaults=(None,))
+):
+    """Outcome of an isomorphism decision between two connection sets;
+    ``reason`` is "key-mismatch", "multiplier-found" or "exhausted"."""
 
-    isomorphic: bool
-    reason: str  # "key-mismatch" | "multiplier-found" | "exhausted"
-    witness_multiplier: GenuineMultiplier | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CiVerdict:
+class CiVerdict(namedtuple("CiVerdict", "is_ci witness fast_path", defaults=(None, "none"))):
     """Outcome of a CI decision; non-CI verdicts carry an isomorphic mate
     outside the unit orbit."""
 
-    is_ci: bool
-    witness: ConnectionSet | None = None
-    fast_path: str = "none"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CosetCase:
-    """A recognized subgroup-coset shape with a CI fast conclusion."""
+class CosetCase(namedtuple("CosetCase", "case subgroup shift")):
+    """A recognized subgroup-coset shape with a CI fast conclusion;
+    ``case`` is "i", "ii" or "iii"."""
 
-    case: str  # "i" | "ii" | "iii"
-    subgroup: tuple[int, ...]
-    shift: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(
+    namedtuple(
+        "ClassificationReport",
+        "n m mode property_holds counterexamples predicate_value agreement failed_at",
+        defaults=(None,),
+    )
+):
     """One cell of a sweep: exhaustive result next to the closed form.
 
+    ``counterexamples`` holds (S, T) pairs of ConnectionSets.
     ``predicate_value`` and ``agreement`` are None when no closed-form
     predicate applies to this (mode, m) cell.
     """
 
-    n: int
-    m: int
-    mode: str
-    property_holds: bool
-    counterexamples: tuple[tuple[ConnectionSet, ConnectionSet], ...]
-    predicate_value: bool | None
-    agreement: bool | None
-    failed_at: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WitnessFamily:
+class WitnessFamily(namedtuple("WitnessFamily", "family connection_set")):
     """A named explicit non-CI construction."""
 
-    family: str
-    connection_set: ConnectionSet
+    __slots__ = ()
 
 
 class DisagreementError(RuntimeError):

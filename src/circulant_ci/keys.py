@@ -31,7 +31,7 @@ while it holds, and no key partition is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .cayley import ConnectionSet
@@ -39,6 +39,7 @@ from .zn import (
     DomainError,
     Factorization,
     InternalConsistencyError,
+    _checked_make,
     factorize,
     order_exponent,
 )
@@ -62,18 +63,18 @@ def _check_key_row(row: tuple[int, ...], t: int) -> None:
         raise DomainError("key rows must be nondecreasing")
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(namedtuple("Key", "factorization rows")):
     """A point of the key lattice, one row per prime power of n."""
 
-    factorization: Factorization
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        parts = self.factorization.parts
-        _check_rows(self.rows, parts, "key")
-        for (_, t), row in zip(parts, self.rows):
+    def __new__(cls, factorization: Factorization, rows: tuple[tuple[int, ...], ...]):
+        parts = factorization.parts
+        _check_rows(rows, parts, "key")
+        for (_, t), row in zip(parts, rows):
             _check_key_row(row, t)
+        return super().__new__(cls, factorization, rows)
 
     def as_lists(self) -> list[list[int]]:
         """Serialization form: nested integer arrays in ascending-prime order."""

@@ -18,18 +18,17 @@ over Z_{p^t} or Z_n is built.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from operator import mul
 
 from .keys import Key, _check_key_row, _check_rows
-from .zn import DomainError, Factorization, is_prime
+from .zn import DomainError, Factorization, _checked_make, is_prime
 
 
-@dataclass(frozen=True)
-class GenuineMultiplier:
+class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
     """A generalized multiplier in the normal form of its key.
 
     One row per prime power of n, each one of the genuine rows that
@@ -37,18 +36,19 @@ class GenuineMultiplier:
     only statement of the normal form.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    key: Key
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        parts = self.key.factorization.parts
-        _check_rows(self.rows, parts, "multiplier")
-        for (p, t), row, krow in zip(parts, self.rows, self.key.rows):
+    def __new__(cls, rows: tuple[tuple[int, ...], ...], key: Key):
+        parts = key.factorization.parts
+        _check_rows(rows, parts, "multiplier")
+        for (p, t), row, krow in zip(parts, rows, key.rows):
             if row not in _genuine_rows(krow, p, t):
                 raise DomainError(
                     f"multiplier row {row} for {p}^{t} lies outside its genuine "
                     "range or breaks the congruence chain"
                 )
+        return super().__new__(cls, rows, key)
 
     def as_lists(self) -> list[list[int]]:
         """Serialization form mirroring the key serialization."""

@@ -8,8 +8,8 @@ is safe to share across threads or worker processes.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 
 
@@ -42,22 +42,26 @@ def _check_modulus(n: int) -> None:
         raise DomainError("modulus must be at least 2")
 
 
-@dataclass(frozen=True)
-class Factorization:
+# _make for the records that check in __new__: namedtuple's own _make, which
+# _replace calls, builds the tuple directly and would skip the checks
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
+class Factorization(namedtuple("Factorization", "n parts")):
     """Ordered prime-power decomposition n = p1^t1 * ... * pl^tl.
 
     Primes ascend strictly; every tuple structure downstream (keys,
     multipliers, CRT idempotents) inherits this order.
     """
 
-    n: int
-    parts: tuple[tuple[int, int], ...]
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self) -> None:
-        _check_modulus(self.n)
+    def __new__(cls, n: int, parts: tuple[tuple[int, int], ...]):
+        _check_modulus(n)
         prod = 1
         prev = 1
-        for p, t in self.parts:
+        for p, t in parts:
             if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
             if p <= prev:
@@ -66,8 +70,9 @@ class Factorization:
                 raise DomainError("exponents must be at least 1")
             prev = p
             prod *= p**t
-        if prod != self.n:
-            raise DomainError(f"prime powers multiply to {prod}, not {self.n}")
+        if prod != n:
+            raise DomainError(f"prime powers multiply to {prod}, not {n}")
+        return super().__new__(cls, n, parts)
 
     @property
     def idempotents(self) -> tuple[int, ...]:

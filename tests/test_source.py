@@ -133,9 +133,12 @@ def _attribute_reads(node: ast.AST, attr: str):
 
 
 # loaded only by the branch that runs them: the worker pool and the csv
-# output; pathlib is not used, and typing names come from collections.abc
+# output; pathlib is not used, typing names come from collections.abc, and
+# the records are named tuples, so neither dataclasses nor the inspect it
+# imports is loaded
 LAZY_MODULES = (
-    "concurrent.futures.process", "multiprocessing", "pathlib", "csv", "typing"
+    "concurrent.futures.process", "multiprocessing", "pathlib", "csv", "typing",
+    "dataclasses", "inspect",
 )
 
 
