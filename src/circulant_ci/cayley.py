@@ -9,7 +9,9 @@ refinement alone never splits their single colour class; the search first
 fixes vertex 0 (sound because translations are automorphisms), refines
 after every individualized choice, tries every candidate image, and
 arc-checks the mapping it returns.  It refuses (never approximates) above
-its cutoff.
+its cutoff.  The arcs of Cay(Z_n, S) are the translates (v, v + s), so the
+refinement reads the colours at v + s for all v at once, as a rotation of
+the colour list, and builds no neighbour list.
 """
 
 from __future__ import annotations
@@ -87,44 +89,55 @@ def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ..
     return tuple(sorted(set(_unit_multiples(members, n))))
 
 
-def _signatures(out, inn, colours):
-    return [
-        (colours[v], tuple(sorted([colours[w] for w in out[v]])),
-         tuple(sorted([colours[w] for w in inn[v]])))
-        for v in range(len(colours))
+def _shifts(g: CayleyDigraph) -> tuple[tuple[int, ...], ...]:
+    """S, whose shifts v + s give the out-neighbours, and n - S, giving the
+    in-neighbours; S alone in graph mode, where S = -S."""
+    n, members = g.n, g.connection.members
+    if g.connection.mode == "graph":
+        return (members,)
+    return members, tuple(n - s for s in members)
+
+
+def _signatures(colours, shifts):
+    """Each vertex's colour, then per shift tuple the sorted colours at
+    v + s, zipped from the rotations colours[s:] + colours[:s]; an empty S
+    has no rotations and adds nothing."""
+    halves = [
+        map(tuple, map(sorted, zip(*[colours[s:] + colours[:s] for s in half])))
+        for half in shifts
+        if half
     ]
+    return list(zip(colours, *halves))
 
 
-def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
+def _joint_refinement(a_shifts, b_shifts, ca, cb):
     """Iterated in/out neighbour colour refinement with a shared palette,
-    starting from the vertex colours `ca` of `a` and `cb` of `b`.
+    starting from the vertex colours `ca` of `a` and `cb` of `b`, each
+    numbered 0..k-1 with every number used.
 
     Each round recolours a vertex by its own colour and the sorted colours
     of its out- and in-neighbours, numbered through one canonical palette
     (the sorted signatures of both digraphs), so the colours only ever
     split and depend on nothing but the coloured digraphs up to
-    isomorphism.  Returns the stable colours of both digraphs, numbered
-    0..k-1, or None as soon as the colour histograms diverge (then no
-    isomorphism carries `ca` onto `cb`).
+    isomorphism.  A signature leads with the vertex's colour, so a round
+    that adds no colour renumbers none: the colouring is stable.  Returns
+    the stable colours of both digraphs, numbered 0..k-1, or None as soon
+    as the colour histograms diverge (then no isomorphism carries `ca`
+    onto `cb`).
     """
+    count = len(set(ca))
     while True:
-        sig_a = _signatures(a_out, a_in, ca)
-        sig_b = _signatures(b_out, b_in, cb)
-        if Counter(sig_a) != Counter(sig_b):
+        sig_a = _signatures(ca, a_shifts)
+        sig_b = _signatures(cb, b_shifts)
+        ordered = sorted(sig_a)
+        if ordered != sorted(sig_b):
             return None
-        palette = {s: i for i, s in enumerate(sorted(set(sig_a)))}
-        new_a = [palette[s] for s in sig_a]
-        new_b = [palette[s] for s in sig_b]
-        if new_a == ca and new_b == cb:
+        palette = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        if len(palette) == count:
             return ca, cb
-        ca, cb = new_a, new_b
-
-
-def _out_in(g: CayleyDigraph):
-    """The arcs: out- and in-neighbours of every vertex, as translates of S and -S."""
-    n, members = g.n, g.connection.members
-    out = [[(v + s) % n for s in members] for v in range(n)]
-    return out, [[(v - s) % n for s in members] for v in range(n)]
+        ca = [palette[s] for s in sig_a]
+        cb = [palette[s] for s in sig_b]
+        count = len(palette)
 
 
 def brute_force_isomorphism(
@@ -140,7 +153,10 @@ def brute_force_isomorphism(
        with a translation of `b` gives one with 0 -> 0.  Vertex 0 gets its
        own colour in both digraphs.
     2. The joint refinement splits the colours and prunes the branch as
-       soon as the colour histograms of `a` and `b` diverge.
+       soon as the colour histograms of `a` and `b` diverge.  It reads the
+       arcs as rotations: the colours at v + s, for every v, are the colour
+       list rotated by s, for s in S (out-neighbours) and in n - S
+       (in-neighbours; graph mode reads S alone, as S = -S).
     3. While the colouring is not discrete, the first vertex v of the
        smallest non-singleton class of `a` is paired in turn with every w
        of `b` in the same class; v and w get a fresh colour, and the
@@ -160,11 +176,10 @@ def brute_force_isomorphism(
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
-    a_out, a_in = _out_in(a)
-    b_out, b_in = _out_in(b)
+    a_shifts, b_shifts = _shifts(a), _shifts(b)
 
     def search(ca, cb):
-        refined = _joint_refinement(a_out, a_in, b_out, b_in, ca, cb)
+        refined = _joint_refinement(a_shifts, b_shifts, ca, cb)
         if refined is None:
             return None
         ca, cb = refined
@@ -188,10 +203,11 @@ def brute_force_isomorphism(
 
     root = [1] + [0] * (n - 1)
     mapping = search(root, root)
+    s, t = a.connection.members, b.connection.members
     if mapping is not None and (
         len(set(mapping)) != n
         or any(
-            {mapping[x] for x in a_out[v]} != set(b_out[mapping[v]])
+            {mapping[(v + x) % n] for x in s} != {(mapping[v] + y) % n for y in t}
             for v in range(n)
         )
     ):

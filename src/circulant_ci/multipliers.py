@@ -40,10 +40,17 @@ class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
     _make = _checked_make
 
     def __new__(cls, rows: tuple[tuple[int, ...], ...], key: Key):
+        # imported here, so the CLI's cold start does not load it
+        from bisect import bisect_left
+
         parts = key.factorization.parts
         _check_rows(rows, parts, "multiplier")
         for (p, t), row, krow in zip(parts, rows, key.rows):
-            if row not in _genuine_rows(krow, p, t):
+            # the genuine rows come in lexicographic order, so a binary
+            # search tests membership
+            genuine = _genuine_rows(krow, p, t)
+            i = bisect_left(genuine, row)
+            if i == len(genuine) or genuine[i] != row:
                 raise DomainError(
                     f"multiplier row {row} for {p}^{t} lies outside its genuine "
                     "range or breaks the congruence chain"

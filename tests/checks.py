@@ -9,7 +9,8 @@ The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
-multiplier action with its own CRT recombination, the backtracking
+multiplier action with its own CRT recombination, the oracle's search
+over neighbour lists read one index at a time, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the enumeration of connection sets
 by combinations of residues or of pairs {x, -x}, the sweep's old
@@ -26,6 +27,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product
 
+from circulant_ci import cayley
 from circulant_ci.cayley import (
     MODES,
     CayleyDigraph,
@@ -166,26 +168,33 @@ def lattice_key_of_partition(n: int, classes) -> Key:
     return joined
 
 
-def _joint_refinement(a_out, a_in, b_out, b_in):
-    """Iterated in/out neighbour colour refinement with a shared palette.
+def _out_in(g: CayleyDigraph):
+    """The arcs: out- and in-neighbours of every vertex, as translates of S and -S."""
+    n, members = g.n, g.connection.members
+    out = [[(v + s) % n for s in members] for v in range(n)]
+    return out, [[(v - s) % n for s in members] for v in range(n)]
 
-    Returns per-vertex colours for both graphs, or None as soon as the
-    colour histograms diverge (then no isomorphism exists).
+
+def _signatures(out, inn, colours):
+    return [
+        (colours[v], tuple(sorted([colours[w] for w in out[v]])),
+         tuple(sorted([colours[w] for w in inn[v]])))
+        for v in range(len(colours))
+    ]
+
+
+def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
+    """Iterated in/out neighbour colour refinement with a shared palette,
+    starting from the vertex colours `ca` of `a` and `cb` of `b`, over
+    neighbours read one index at a time.
+
+    Returns the stable colours of both digraphs, numbered 0..k-1, or None
+    as soon as the colour histograms diverge (then no isomorphism carries
+    `ca` onto `cb`).
     """
-    n = len(a_out)
-    ca = [0] * n
-    cb = [0] * n
     while True:
-        sig_a = [
-            (ca[v], tuple(sorted(ca[w] for w in a_out[v])),
-             tuple(sorted(ca[w] for w in a_in[v])))
-            for v in range(n)
-        ]
-        sig_b = [
-            (cb[v], tuple(sorted(cb[w] for w in b_out[v])),
-             tuple(sorted(cb[w] for w in b_in[v])))
-            for v in range(n)
-        ]
+        sig_a = _signatures(a_out, a_in, ca)
+        sig_b = _signatures(b_out, b_in, cb)
         if Counter(sig_a) != Counter(sig_b):
             return None
         palette = {s: i for i, s in enumerate(sorted(set(sig_a)))}
@@ -194,6 +203,42 @@ def _joint_refinement(a_out, a_in, b_out, b_in):
         if new_a == ca and new_b == cb:
             return ca, cb
         ca, cb = new_a, new_b
+
+
+def index_list_isomorphism(a: CayleyDigraph, b: CayleyDigraph) -> tuple[int, ...] | None:
+    """Reference for brute_force_isomorphism, which must return the same
+    mapping: the same individualization-refinement search, with vertex 0
+    fixed and the same branching order, over per-vertex neighbour lists
+    read one index at a time instead of rotations of the colour list."""
+    n = a.n
+    a_out, a_in = _out_in(a)
+    b_out, b_in = _out_in(b)
+
+    def search(ca, cb):
+        refined = _joint_refinement(a_out, a_in, b_out, b_in, ca, cb)
+        if refined is None:
+            return None
+        ca, cb = refined
+        sizes = Counter(ca)
+        if len(sizes) == n:
+            vertex_of = {c: w for w, c in enumerate(cb)}
+            return tuple(vertex_of[c] for c in ca)
+        v = min(
+            (x for x in range(n) if sizes[ca[x]] > 1), key=lambda x: sizes[ca[x]]
+        )
+        fresh = len(sizes)
+        for w in range(n):
+            if cb[w] == ca[v]:
+                found = search(
+                    [fresh if x == v else c for x, c in enumerate(ca)],
+                    [fresh if x == w else c for x, c in enumerate(cb)],
+                )
+                if found is not None:
+                    return found
+        return None
+
+    root = [1] + [0] * (n - 1)
+    return search(root, root)
 
 
 def out_neighbours(g: CayleyDigraph) -> list[set[int]]:
@@ -234,7 +279,7 @@ def backtracking_isomorphism(
         for w in b_out[v]:
             b_in[w].add(v)
 
-    colours = _joint_refinement(a_out, a_in, b_out, b_in)
+    colours = _joint_refinement(a_out, a_in, b_out, b_in, [0] * n, [0] * n)
     if colours is None:
         return None
     ca, cb = colours
@@ -503,12 +548,14 @@ def check_key_against_lattice(n_max: int = 16) -> int:
 
 
 def check_oracle_against_backtracking(n_max: int = 10) -> int:
-    """brute_force_isomorphism gives the verdict of the backtracking
-    reference on every same-size pair of orbit representatives with
-    n <= n_max (both modes), and finds the non-unit isomorphisms of the
-    witness families up to the oracle cutoff (each family against its
-    is_ci witness, both ways round) plus Z_8 {1,2,5} ~ {1,5,6}; every
-    mapping either oracle returns is an arc-preserving bijection."""
+    """brute_force_isomorphism returns the mapping of index_list_isomorphism
+    and the verdict of the backtracking reference on every same-size pair
+    of orbit representatives with n <= n_max (both modes), its refinement
+    the same stable colours from vertex 0 individualized, and it finds the
+    non-unit isomorphisms of the witness families up to the oracle cutoff
+    (each family against its is_ci witness, both ways round) plus
+    Z_8 {1,2,5} ~ {1,5,6}; every mapping brute_force_isomorphism or the
+    backtracking reference returns is an arc-preserving bijection."""
     cases = []
     for n in range(2, n_max + 1):
         for mode in ("digraph", "graph"):
@@ -531,6 +578,11 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
         fast = brute_force_isomorphism(a, b)
         slow = backtracking_isomorphism(a, b)
         case = (s.n, s.mode, s.members, t.members)
+        assert fast == index_list_isomorphism(a, b), case
+        root = [1] + [0] * (s.n - 1)
+        assert cayley._joint_refinement(
+            cayley._shifts(a), cayley._shifts(b), root, root
+        ) == _joint_refinement(*_out_in(a), *_out_in(b), root, root), case
         assert (fast is None) == (slow is None), case
         assert fast is not None or not known_isomorphic, case
         a_out, b_out = out_neighbours(a), out_neighbours(b)

@@ -32,6 +32,8 @@ CASES = (
     ["iso", "12", "1,5", "1,7", "--mode", "graph", "--close-inverses"],
     ["iso", "8", "", ""],
     ["iso", "8", "", "1", "--oracle"],
+    ["iso", "8", "", "", "--oracle"],
+    ["iso", "12", "1,3,9,11", "3,5,7,9", "--mode", "graph", "--oracle"],
     ["ci", "8", "1,2,5"],
     ["ci", "9", "1,4,7"],
     ["ci", "12", "1,5"],

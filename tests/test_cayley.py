@@ -8,7 +8,8 @@ from checks import out_neighbours
 from circulant_ci.cayley import (
     ConnectionSet,
     OracleCutoffError,
-    _out_in,
+    _shifts,
+    _signatures,
     brute_force_isomorphic,
     brute_force_isomorphism,
     build_cayley,
@@ -35,8 +36,9 @@ def test_connection_set_validation():
 
 
 def _out_sets(g):
-    # the out-neighbours that the oracle derives, one set per vertex
-    return [set(out) for out in _out_in(g)[0]]
+    # the out-neighbours that the oracle derives, one set per vertex: under
+    # the colouring v -> v, the out-half of v's signature lists them
+    return [set(sig[1]) for sig in _signatures(list(range(g.n)), _shifts(g))]
 
 
 def test_build_cayley_examples():
@@ -97,6 +99,14 @@ def test_oracle_examples():
         assert not brute_force_isomorphic(
             build_cayley(ConnectionSet(8, s)), build_cayley(ConnectionSet(8, t))
         )
+
+
+def test_oracle_maps_empty_set_by_identity():
+    # an empty S has no rotations to read; the search still runs to the end
+    for n in range(2, 13):
+        for mode in ("digraph", "graph"):
+            empty = build_cayley(ConnectionSet(n, (), mode))
+            assert brute_force_isomorphism(empty, empty) == tuple(range(n))
 
 
 def test_oracle_witness_mapping_is_arc_preserving():

@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from checks import enumerate_keys, multiplier_action_reference
+from checks import _prime_power_key_rows, enumerate_keys, multiplier_action_reference
 from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import Key, key_of_set, zero_key
 from circulant_ci.multipliers import (
@@ -92,6 +92,20 @@ def test_genuine_rows_examples():
     assert genuine_multipliers_prime_power([0, 1], 3, 2) == (
         genuine_multipliers_prime_power((0, 1), 3, 2)
     )
+
+
+def test_genuine_rows_are_sorted():
+    # GenuineMultiplier finds a row by binary search, so the genuine rows of
+    # every key row must come in strictly increasing lexicographic order;
+    # 705 key rows, up to 2^7, 3^5, 5^3 and 7^3
+    checked = 0
+    for p, t_max in ((2, 7), (3, 5), (5, 3), (7, 3)):
+        for t in range(1, t_max + 1):
+            for krow in _prime_power_key_rows(t):
+                rows = genuine_multipliers_prime_power(krow, p, t)
+                assert all(a < b for a, b in zip(rows, rows[1:])), (p, t, krow)
+                checked += 1
+    assert checked == 705
 
 
 def test_genuine_validation():
