@@ -100,10 +100,12 @@ def _shifts(g: CayleyDigraph) -> tuple[tuple[int, ...], ...]:
 
 def _signatures(colours, shifts):
     """Each vertex's colour, then per shift tuple the sorted colours at
-    v + s, zipped from the rotations colours[s:] + colours[:s]; an empty S
-    has no rotations and adds nothing."""
+    v + s, zipped from the rotations by s, each one slice twice[s:s + n] of
+    the doubled colour list; an empty S has no rotations and adds nothing."""
+    n = len(colours)
+    twice = colours + colours
     halves = [
-        map(tuple, map(sorted, zip(*[colours[s:] + colours[:s] for s in half])))
+        map(tuple, map(sorted, zip(*[twice[s:s + n] for s in half])))
         for half in shifts
         if half
     ]

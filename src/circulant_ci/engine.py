@@ -2,12 +2,16 @@
 
 Two circulants Cay(Z_n, S) and Cay(Z_n, T) are isomorphic exactly when their
 keys agree and some solving-set permutation of that key carries S onto T
-(Muzychuk's criterion).  CI testing scans the whole solving set: S is CI iff
-every image stays inside the unit orbit of S.  The scan lists that orbit
-only as far as it needs it, taking the multiples uS in ascending order of u
-until the current image is among them.  The sweeps keep one set per orbit,
-the one no multiple uS undercuts, and both take the multiples from
-cayley._unit_multiples, the one statement of the unit action.
+(Muzychuk's criterion).  The isomorphism scan drops a multiplier at the
+first member of S it maps outside T; each multiplier is a bijection, so
+for |S| = |T| the first one kept is the witness, and sets of different
+sizes are settled before any scan.  CI testing scans the whole solving
+set: S is CI iff every image stays inside the unit orbit of S.  The scan
+lists that orbit only as far as it needs it, taking the multiples uS in
+ascending order of u until the current image is among them.  The sweeps
+keep one set per orbit, the one no multiple uS undercuts, and both take
+the multiples from cayley._unit_multiples, the one statement of the unit
+action.
 
 On top of the single-set decision sit the exhaustive valency sweeps, the
 closed-form classification predicates they are checked against, the coset
@@ -112,8 +116,14 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
 
     Different keys settle it negatively at once; equal keys reduce the
     question to scanning the solving set for a permutation with S^f = T.
-    The recorded witness is the first hit in enumeration order.  The empty
-    set has no key, and is isomorphic to itself only, by the identity.
+    Sets of different sizes are "exhausted" with no scan.  Otherwise the
+    scan drops a multiplier at the first member of S whose image falls
+    outside T, and the first multiplier that keeps every member inside T
+    maps S onto T, since it is a bijection and |S| = |T|: that is the
+    witness, the first hit in enumeration order.  Its full sorted image is
+    compared with T once, and a difference raises InternalConsistencyError.
+    The empty set has no key, and is isomorphic to itself only, by the
+    identity.
     """
     _check_pair(s, t)
     if not (s.members and t.members):
@@ -125,11 +135,16 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     kt = key_of_set(t)
     if ks != kt:
         return IsoVerdict(False, "key-mismatch")
-    for rows, image in solving_set(ks).images(s.members):
-        if image == t.members:
-            m = GenuineMultiplier(rows, ks)
-            return IsoVerdict(True, "multiplier-found", m)
-    return IsoVerdict(False, "exhausted")
+    # the scan tests S^f inside T, which is S^f = T only when |S| = |T|
+    if len(s.members) != len(t.members):
+        return IsoVerdict(False, "exhausted")
+    found = solving_set(ks).first_into(s.members, t.members)
+    if found is None:
+        return IsoVerdict(False, "exhausted")
+    rows, image = found
+    if image != t.members:
+        raise InternalConsistencyError("solving-set multiplier maps S into T, not onto T")
+    return IsoVerdict(True, "multiplier-found", GenuineMultiplier(rows, ks))
 
 
 def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:

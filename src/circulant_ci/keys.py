@@ -154,6 +154,10 @@ def key_of_set(s: ConnectionSet) -> Key:
     f = factorize(n)
     rows = []
     for p, t in f.parts:
+        if t == 1:
+            # 0 <= k_1 < 1: the row of p is (0,), and no member moves
+            rows.append((0,))
+            continue
         q = p**t
         exponents = [order_exponent(x % q, p, t) for x in members]
         row = [0] * t

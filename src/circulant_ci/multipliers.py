@@ -12,7 +12,10 @@ ascending primes of n; its induced permutations are exactly what the
 isomorphism criterion scans.  It holds nothing but those rows: the images
 the criterion scans are computed lazily, one multiplier at a time as the
 scan reaches it, from the digits of the members of S alone, and no table
-over Z_{p^t} or Z_n is built.
+over Z_{p^t} or Z_n is built.  One per-multiplier loop, _member_images,
+yields each multiplier's images member by member: ``images`` sorts them
+all, and ``first_into`` drops a multiplier at its first image outside the
+target set, so a miss costs no full image.
 """
 
 from __future__ import annotations
@@ -83,11 +86,28 @@ def _digit_terms(
     return [tuple(x // q % p * q * e for p, q, e in places) for x in members]
 
 
+def _member_images(
+    multipliers: Iterable[tuple[tuple[int, ...], ...]],
+    terms: list[tuple[int, ...]],
+    n: int,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], Iterator[int]]]:
+    """The one per-multiplier loop: each multiplier's rows, with its image
+    of every member, in member order, from the members' ``_digit_terms``.
+
+    An image is computed only when its reader reaches it, so a scan that
+    leaves the iterator unfinished computes no image past the member it
+    stops at.
+    """
+    for rows in multipliers:
+        entries = sum(rows, ())
+        yield rows, (sum(map(mul, entries, xt)) % n for xt in terms)
+
+
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n."""
     f = m.key.factorization
-    entries = [e for row in m.rows for e in row]
-    return tuple(sum(map(mul, entries, xt)) % f.n for xt in _digit_terms(range(f.n), f))
+    ((_, image),) = _member_images((m.rows,), _digit_terms(range(f.n), f), f.n)
+    return tuple(image)
 
 
 def genuine_multipliers_prime_power(
@@ -160,11 +180,35 @@ class SolvingSet:
         multiplier's images only when the scan reaches it.
         """
         f = self.key.factorization
-        n = f.n
         terms = _digit_terms(members, f)
-        for rows in product(*self._rows):
-            entries = [m for row in rows for m in row]
-            yield rows, tuple(sorted(sum(map(mul, entries, xt)) % n for xt in terms))
+        for rows, image in _member_images(product(*self._rows), terms, f.n):
+            yield rows, tuple(sorted(image))
+
+    def first_into(
+        self, members: tuple[int, ...], target: tuple[int, ...]
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+        """(rows, sorted image of members) of the first multiplier, in
+        iteration order, that maps every member into target, or None.
+
+        A multiplier is dropped at the first member whose image falls
+        outside target, so a miss costs no full image and no sort.  The
+        images read are kept, so the hit's image is complete when the scan
+        stops.  Each multiplier is a bijection of Z_n, so when target is as
+        large as members the hit maps members onto target; the caller
+        compares the returned image with target to confirm it.
+        """
+        f = self.key.factorization
+        terms = _digit_terms(members, f)
+        inside = set(target)
+        for rows, image in _member_images(product(*self._rows), terms, f.n):
+            kept = []
+            for y in image:
+                if y not in inside:
+                    break
+                kept.append(y)
+            else:
+                return rows, tuple(sorted(kept))
+        return None
 
 
 def solving_set(k: Key) -> SolvingSet:

@@ -14,8 +14,10 @@ over neighbour lists read one index at a time, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the enumeration of connection sets
 by combinations of residues or of pairs {x, -x}, the sweep's old
-enumeration (every orbit representative, filtered by its key), and the CI
-scan that lists the whole unit orbit before it looks at an image.
+enumeration (every orbit representative, filtered by its key), the CI
+scan that lists the whole unit orbit before it looks at an image, and the
+isomorphism scan that compares the full sorted image of S under every
+multiplier with T.
 The library's decision path uses none of them.
 """
 
@@ -40,11 +42,13 @@ from circulant_ci.cayley import (
 )
 from circulant_ci.engine import (
     CiVerdict,
+    IsoVerdict,
     _key_candidates,
     _orbit_least,
     connection_set_tuples,
     is_ci,
     is_ci_reduced,
+    isomorphism_class,
     muzychuk_isomorphic,
     orbit_representatives,
     witnesses,
@@ -70,6 +74,9 @@ ACTION_MODULI = (128, 216, 243, 256, 384, 600)
 ACTION_SETS_PER_MODULUS = 4
 # multipliers compared per set, spread evenly over the solving set
 ACTION_MULTIPLIERS_PER_SET = 6
+# solving-set images a seeded coset union is paired with, spread evenly
+# over the solving set
+ISO_IMAGES_PER_SET = 6
 # prime powers p^t whose every key row and every row of small entries is
 # checked against the entry-by-entry rule for genuine rows
 GENUINE_PRIME_POWERS = (
@@ -765,4 +772,74 @@ def check_ci_scan_against_reference(n_max: int = 16) -> int:
             assert verdict.witness.members == expected.witness.members, case
             non_ci += 1
     assert non_ci > 0, "no non-CI set was compared"
+    return len(cases)
+
+
+def iso_scan_reference(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
+    """Muzychuk's criterion with the full-image scan: after the key check,
+    the sorted image of S under every multiplier of the solving set, in
+    enumeration order, is compared with T, and the first equal one is the
+    witness.  Sets of different sizes are told apart only by exhausting
+    the solving set."""
+    if not (s.members and t.members):
+        if s.members or t.members:
+            return IsoVerdict(False, "key-mismatch")
+        identity = next(iter(solving_set(zero_key(factorize(s.n)))))
+        return IsoVerdict(True, "multiplier-found", identity)
+    ks = key_of_set(s)
+    if ks != key_of_set(t):
+        return IsoVerdict(False, "key-mismatch")
+    for rows, image in solving_set(ks).images(s.members):
+        if image == t.members:
+            return IsoVerdict(True, "multiplier-found", GenuineMultiplier(rows, ks))
+    return IsoVerdict(False, "exhausted")
+
+
+def _acts_as_unit(m: GenuineMultiplier) -> bool:
+    # the permutation of m is x -> ux for the unit u it sends 1 to
+    perm = as_permutation(m)
+    n = len(perm)
+    return perm == tuple(perm[1] * x % n for x in range(n))
+
+
+def check_iso_scan_against_reference(n_max: int = 10) -> int:
+    """muzychuk_isomorphic against iso_scan_reference, on verdict, reason
+    and witness rows: every same-mode pair of orbit representatives with
+    n <= n_max, sizes different or equal, and every (S, T) with S such a
+    representative and T in isomorphism_class(S); then every pair of the
+    seeded coset unions of one modulus up to n = 256, and each of them
+    against its images under an evenly spread sample of its solving set.
+    Both sides must meet exhausted verdicts and witnesses that act as no
+    unit."""
+    cases = []
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            reps = [
+                ConnectionSet(n, mem, mode)
+                for m in range(1, n)
+                for mem in orbit_representatives(n, m, mode)
+            ]
+            cases += combinations_with_replacement(reps, 2)
+            cases += [(s, t) for s in reps for t in isomorphism_class(s)]
+    rng = random.Random(SEED)
+    for n in COSET_UNION_MODULI:
+        unions = [_coset_union(rng, n) for _ in range(COSET_UNIONS_PER_MODULUS)]
+        cases += combinations_with_replacement(unions, 2)
+        for s in unions:
+            ss = solving_set(key_of_set(s))
+            step = -(-len(ss) // ISO_IMAGES_PER_SET)
+            images = islice(ss.images(s.members), 0, None, step)
+            cases += [(s, ConnectionSet(n, image)) for _, image in images]
+    exhausted, non_unit = 0, False
+    for s, t in cases:
+        verdict = muzychuk_isomorphic(s, t)
+        assert verdict == iso_scan_reference(s, t), (s.n, s.mode, s.members, t.members)
+        if verdict.reason == "exhausted":
+            exhausted += 1
+        # one witness that acts as no unit is enough, and as_permutation
+        # costs O(n) per witness
+        if verdict.isomorphic and not non_unit:
+            non_unit = not _acts_as_unit(verdict.witness_multiplier)
+    assert exhausted > 0, "no exhausted verdict was compared"
+    assert non_unit, "no witness that acts as no unit was compared"
     return len(cases)

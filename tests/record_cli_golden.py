@@ -34,6 +34,8 @@ CASES = (
     ["iso", "8", "", "1", "--oracle"],
     ["iso", "8", "", "", "--oracle"],
     ["iso", "12", "1,3,9,11", "3,5,7,9", "--mode", "graph", "--oracle"],
+    ["iso", "5", "1,2", "1,4", "--oracle"],
+    ["iso", "7", "1", "1,2", "--oracle"],
     ["ci", "8", "1,2,5"],
     ["ci", "9", "1,4,7"],
     ["ci", "12", "1,5"],

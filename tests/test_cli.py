@@ -204,7 +204,7 @@ def test_unwritable_dump_keeps_exit_3(tmp_path, capsys):
 def test_output_matches_golden_bytes(tmp_path):
     # every command under every --format, recorded by tests/record_cli_golden.py
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 90  # 30 commands, 3 formats each
+    assert len(cases) == 96  # 32 commands, 3 formats each
     for case in cases:
         code, stdout = run_case(case["argv"], tmp_path)
         assert (code, stdout) == (case["code"], case["stdout"]), case["argv"]

@@ -7,8 +7,9 @@ enumeration of the sets whose key is not (almost) zero against every orbit
 representative filtered by its key, the enumeration of connection sets
 against the one by residues and pairs {x, -x}, the orbit filter against
 the filter with one table per unit and against the Burnside count of the
-orbits, and the lazy CI scan against the scan that lists the whole unit
-orbit first."""
+orbits, the lazy CI scan against the scan that lists the whole unit
+orbit first, and the isomorphism scan that drops a multiplier at its first
+image outside T against the scan that compares full sorted images."""
 
 import checks
 
@@ -51,3 +52,7 @@ def test_orbit_filter_matches_reference_and_burnside_count():
 
 def test_ci_scan_matches_reference():
     assert checks.check_ci_scan_against_reference() > 0
+
+
+def test_iso_scan_matches_reference():
+    assert checks.check_iso_scan_against_reference() > 0
