@@ -38,7 +38,6 @@ from .engine import (
 )
 from .keys import (
     Key,
-    almost_zero_key,
     key_of_set,
     key_partition,
     zero_key,
@@ -47,7 +46,6 @@ from .multipliers import (
     GenuineMultiplier,
     SolvingSet,
     as_permutation,
-    genuine_multipliers_prime_power,
     solving_set,
 )
 from .zn import (
@@ -55,7 +53,6 @@ from .zn import (
     Factorization,
     InternalConsistencyError,
     factorize,
-    generated_subgroup,
     subgroup_of_order,
     units,
 )
@@ -78,15 +75,12 @@ __all__ = [
     "OracleCutoffError",
     "SolvingSet",
     "WitnessFamily",
-    "almost_zero_key",
     "as_permutation",
     "brute_force_isomorphic",
     "brute_force_isomorphism",
     "build_cayley",
     "decide_ci",
     "factorize",
-    "generated_subgroup",
-    "genuine_multipliers_prime_power",
     "is_ci",
     "is_ci_reduced",
     "is_m_group",

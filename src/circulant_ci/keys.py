@@ -86,19 +86,6 @@ def zero_key(f: Factorization) -> Key:
     return Key(f, tuple((0,) * t for _, t in f.parts))
 
 
-def almost_zero_key(f: Factorization) -> Key:
-    """Zero everywhere except entry 1 at (p = 2, j = 2); needs n = 4 mod 8."""
-    if f.n % 8 != 4:
-        raise DomainError("almost zero key requires n ≡ 4 (mod 8)")
-    rows = []
-    for p, t in f.parts:
-        row = [0] * t
-        if p == 2:  # the 2-part is exactly 4 here, so this row is (0, 1)
-            row[1] = 1
-        rows.append(tuple(row))
-    return Key(f, tuple(rows))
-
-
 # Key partitions kept at once, for `key --partition`; key_of_set uses none.
 KEY_CACHE_SIZE = 512
 

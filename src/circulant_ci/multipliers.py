@@ -27,8 +27,8 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .keys import Key, _check_key_row, _check_rows
-from .zn import DomainError, Factorization, _checked_make, is_prime
+from .keys import Key, _check_rows
+from .zn import DomainError, Factorization, _checked_make
 
 
 class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
@@ -110,26 +110,17 @@ def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     return tuple(image)
 
 
-def genuine_multipliers_prime_power(
-    row: tuple[int, ...], p: int, t: int
-) -> tuple[tuple[int, ...], ...]:
-    """All genuine rows for a key row, in lexicographic order.
-
-    For t = 1 the congruence chain is vacuous and the rows are exactly the
-    nonzero residues mod p.
-    """
-    return _genuine_rows(tuple(row), p, t)
-
-
 # Genuine-row lists kept at once, one per (key row, p, t).
 ROW_CACHE_SIZE = 512
 
 
 @lru_cache(maxsize=ROW_CACHE_SIZE)
 def _genuine_rows(row: tuple[int, ...], p: int, t: int) -> tuple[tuple[int, ...], ...]:
-    if not is_prime(p) or t < 1:
-        raise DomainError("prime power required")
-    _check_key_row(row, t)
+    """All genuine rows for a key row of p^t, in lexicographic order.
+
+    For t = 1 the congruence chain is vacuous and the rows are exactly the
+    nonzero residues mod p.
+    """
     rows: list[tuple[int, ...]] = [()]
     for a in range(t):
         # entry a + 1 keeps the chain: it strides its range by p^(a - k_{a+1})
@@ -160,7 +151,7 @@ class SolvingSet:
         self.key = key
         f = key.factorization
         self._rows = tuple(
-            genuine_multipliers_prime_power(row, p, t)
+            _genuine_rows(row, p, t)
             for (p, t), row in zip(f.parts, key.rows)
         )
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable
 from functools import lru_cache
 
 
@@ -135,15 +134,7 @@ def units(n: int) -> tuple[int, ...]:
 
 def subgroup_of_order(n: int, d: int) -> tuple[int, ...]:
     """The unique subgroup of Z_n of order d: the multiples of n/d."""
+    _check_modulus(n)
     if d < 1 or n % d != 0:
         raise DomainError(f"{d} does not divide {n}")
     return tuple(range(0, n, n // d))
-
-
-def generated_subgroup(members: Iterable[int], n: int) -> tuple[int, ...]:
-    """<S>: the multiples of gcd(S plus n); the empty set generates {0}."""
-    g = n
-    for s in members:
-        _check_residue(s, n)
-        g = math.gcd(g, s)
-    return tuple(range(0, n, g))

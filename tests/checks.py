@@ -15,9 +15,10 @@ isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the enumeration of connection sets
 by combinations of residues or of pairs {x, -x}, the sweep's old
 enumeration (every orbit representative, filtered by its key), the CI
-scan that lists the whole unit orbit before it looks at an image, and the
+scan that lists the whole unit orbit before it looks at an image, the
 isomorphism scan that compares the full sorted image of S under every
-multiplier with T.
+multiplier with T, the subgroup <S> as the multiples of a gcd, and the
+almost zero key that _ci_keys states apart from the engine's own test.
 The library's decision path uses none of them.
 """
 
@@ -53,14 +54,14 @@ from circulant_ci.engine import (
     orbit_representatives,
     witnesses,
 )
-from circulant_ci.keys import Key, almost_zero_key, key_of_set, key_partition, zero_key
+from circulant_ci.keys import Key, key_of_set, key_partition, zero_key
 from circulant_ci.multipliers import (
     GenuineMultiplier,
+    _genuine_rows,
     as_permutation,
-    genuine_multipliers_prime_power,
     solving_set,
 )
-from circulant_ci.zn import DomainError, Factorization, factorize, units
+from circulant_ci.zn import DomainError, Factorization, _check_residue, factorize, units
 
 SEED = 20250810
 PAIR_SAMPLE_LIMIT = 1500
@@ -479,8 +480,8 @@ def check_genuine_rows_against_reference() -> int:
     accepts, for every key row of each GENUINE_PRIME_POWERS p^t and every
     row whose entry m_j lies in 0..p^j, one past the widest range bound;
     and the accepted rows, in lexicographic order, are the genuine rows
-    in the order genuine_multipliers_prime_power lists them, which is the
-    order the solving-set scan visits them in."""
+    in the order _genuine_rows lists them, which is the order the
+    solving-set scan visits them in."""
     checked = 0
     for p, t in GENUINE_PRIME_POWERS:
         f = factorize(p**t)
@@ -497,8 +498,17 @@ def check_genuine_rows_against_reference() -> int:
                     accepted = False
                 assert accepted == genuine_row_reference(row, krow, p, t), (p, t, krow, row)
                 checked += 1
-            assert tuple(kept) == genuine_multipliers_prime_power(krow, p, t), (p, t, krow)
+            assert tuple(kept) == _genuine_rows(krow, p, t), (p, t, krow)
     return checked
+
+
+def generated_subgroup(members, n: int) -> tuple[int, ...]:
+    """<S>: the multiples of gcd(S plus n); the empty set generates {0}."""
+    g = n
+    for s in members:
+        _check_residue(s, n)
+        g = math.gcd(g, s)
+    return tuple(range(0, n, g))
 
 
 def check_reduction_consistency(n_max: int = 12) -> int:
@@ -599,6 +609,19 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
                 for v in range(s.n):
                     assert {mapping[x] for x in a_out[v]} == b_out[mapping[v]], case
     return len(cases)
+
+
+def almost_zero_key(f: Factorization) -> Key:
+    """Zero everywhere except entry 1 at (p = 2, j = 2); needs n = 4 mod 8."""
+    if f.n % 8 != 4:
+        raise DomainError("almost zero key requires n ≡ 4 (mod 8)")
+    rows = []
+    for p, t in f.parts:
+        row = [0] * t
+        if p == 2:  # the 2-part is exactly 4 here, so this row is (0, 1)
+            row[1] = 1
+        rows.append(tuple(row))
+    return Key(f, tuple(rows))
 
 
 def _ci_keys(n: int) -> set[Key]:

@@ -1,20 +1,21 @@
 """Unit tests for keys, key partitions, and keys of sets, and for the key
-lattice references in checks."""
+lattice and almost zero key references in checks."""
 
 import math
 from types import SimpleNamespace
 
 import pytest
 
-from checks import _prime_power_key_rows, enumerate_keys, key_join, key_leq, refines
-from circulant_ci.cayley import ConnectionSet
-from circulant_ci.keys import (
-    Key,
+from checks import (
+    _prime_power_key_rows,
     almost_zero_key,
-    key_of_set,
-    key_partition,
-    zero_key,
+    enumerate_keys,
+    key_join,
+    key_leq,
+    refines,
 )
+from circulant_ci.cayley import ConnectionSet
+from circulant_ci.keys import Key, key_of_set, key_partition, zero_key
 from circulant_ci.zn import DomainError, Factorization, factorize, units
 
 

@@ -10,8 +10,8 @@ from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import Key, key_of_set, zero_key
 from circulant_ci.multipliers import (
     GenuineMultiplier,
+    _genuine_rows,
     as_permutation,
-    genuine_multipliers_prime_power,
     solving_set,
 )
 from circulant_ci.zn import DomainError, factorize
@@ -75,23 +75,19 @@ def test_generalized_multiplier_validation():
 
 
 def test_genuine_rows_examples():
-    assert genuine_multipliers_prime_power((0, 1), 3, 2) == (
+    assert _genuine_rows((0, 1), 3, 2) == (
         (1, 1),
         (1, 2),
         (2, 1),
         (2, 2),
     )
-    assert genuine_multipliers_prime_power((0, 0, 1), 2, 3) == (
+    assert _genuine_rows((0, 0, 1), 2, 3) == (
         (1, 1, 1),
         (1, 1, 3),
         (1, 3, 1),
         (1, 3, 3),
     )
-    assert genuine_multipliers_prime_power((0,), 5, 1) == ((1,), (2,), (3,), (4,))
-    # a list row is accepted and gives the rows of the tuple
-    assert genuine_multipliers_prime_power([0, 1], 3, 2) == (
-        genuine_multipliers_prime_power((0, 1), 3, 2)
-    )
+    assert _genuine_rows((0,), 5, 1) == ((1,), (2,), (3,), (4,))
 
 
 def test_genuine_rows_are_sorted():
@@ -102,7 +98,7 @@ def test_genuine_rows_are_sorted():
     for p, t_max in ((2, 7), (3, 5), (5, 3), (7, 3)):
         for t in range(1, t_max + 1):
             for krow in _prime_power_key_rows(t):
-                rows = genuine_multipliers_prime_power(krow, p, t)
+                rows = _genuine_rows(krow, p, t)
                 assert all(a < b for a, b in zip(rows, rows[1:])), (p, t, krow)
                 checked += 1
     assert checked == 705
@@ -138,9 +134,7 @@ def test_solving_set_sizes_and_order():
 def test_solving_set_is_per_prime_product():
     f72 = factorize(72)
     k = Key(f72, ((0, 0, 1), (0, 1)))
-    expected = len(genuine_multipliers_prime_power((0, 0, 1), 2, 3)) * len(
-        genuine_multipliers_prime_power((0, 1), 3, 2)
-    )
+    expected = len(_genuine_rows((0, 0, 1), 2, 3)) * len(_genuine_rows((0, 1), 3, 2))
     assert len(solving_set(k)) == expected
 
 

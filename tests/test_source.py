@@ -33,6 +33,81 @@ def test_exports_are_all():
     assert public - MODULES - set(names) == set()
 
 
+def test_public_surface_pinned():
+    # the exported names are pinned, so a new export is a decision
+    assert sorted(circulant_ci.__all__) == [
+        "CayleyDigraph",
+        "CiVerdict",
+        "ClassificationReport",
+        "ConnectionSet",
+        "CosetCase",
+        "DisagreementError",
+        "DomainError",
+        "Factorization",
+        "GenuineMultiplier",
+        "InternalConsistencyError",
+        "IsoVerdict",
+        "Key",
+        "OracleCutoffError",
+        "SolvingSet",
+        "WitnessFamily",
+        "as_permutation",
+        "brute_force_isomorphic",
+        "brute_force_isomorphism",
+        "build_cayley",
+        "decide_ci",
+        "factorize",
+        "is_ci",
+        "is_ci_reduced",
+        "is_m_group",
+        "isomorphism_class",
+        "key_of_set",
+        "key_partition",
+        "m_property",
+        "muzychuk_isomorphic",
+        "orbit_members",
+        "orbit_representatives",
+        "predicate_ci_group",
+        "predicate_dci_group",
+        "predicate_mci",
+        "predicate_mdci",
+        "recognize_coset_case",
+        "solving_set",
+        "subgroup_of_order",
+        "units",
+        "verify_theorems",
+        "witnesses",
+        "zero_key",
+    ]
+
+
+def test_no_unused_imports():
+    # every name a module imports is read in it; __init__ only re-exports
+    found = []
+    for path, tree in _trees():
+        if path.name == "__init__.py":
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in imported.items()
+            if name not in read
+        ]
+    assert not found, found
+
+
 def test_no_assert_statements():
     # invariants raise InternalConsistencyError; assert vanishes under -O
     found = []

@@ -1,14 +1,15 @@
-"""Unit tests for exact Z_n arithmetic."""
+"""Unit tests for exact Z_n arithmetic, and for the generated-subgroup
+reference in checks."""
 
 from math import gcd
 
 import pytest
 
+from checks import generated_subgroup
 from circulant_ci.zn import (
     DomainError,
     Factorization,
     factorize,
-    generated_subgroup,
     order_exponent,
     subgroup_of_order,
     units,
@@ -81,6 +82,9 @@ def test_subgroup_of_order_examples():
     assert subgroup_of_order(36, 6) == (0, 6, 12, 18, 24, 30)
     with pytest.raises(DomainError):
         subgroup_of_order(8, 3)
+    for n, d in ((-4, 2), (1, 1), (0, 1)):
+        with pytest.raises(DomainError, match="modulus must be at least 2"):
+            subgroup_of_order(n, d)
 
 
 def test_subgroup_closure():
