@@ -11,7 +11,9 @@ after every individualized choice, tries every candidate image, and
 arc-checks the mapping it returns.  It refuses (never approximates) above
 its cutoff.  The arcs of Cay(Z_n, S) are the translates (v, v + s), so the
 refinement reads the colours at v + s for all v at once, as a rotation of
-the colour list, and builds no neighbour list.
+a list of colour weights, and builds no neighbour list: the weights sum
+to one integer per vertex and shift tuple, ordered as the sorted tuple of
+the neighbours' colours would be.
 """
 
 from __future__ import annotations
@@ -74,14 +76,21 @@ def build_cayley(s: ConnectionSet) -> CayleyDigraph:
 
 
 def _unit_multiples(members: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
-    """The multiples uS, each sorted, in ascending order of the unit u;
-    repeats are kept.  The one statement of the unit action on sets."""
-    for u in units(n):
+    """The multiples uS of a strictly increasing member tuple S, each
+    sorted, in ascending order of the unit u; repeats are kept.  The one
+    statement of the unit action on sets.
+
+    The units ascend from 1, and 1S is S itself, so the member tuple comes
+    first as it is and only the multiples by u > 1 are computed.
+    """
+    yield members
+    for u in units(n)[1:]:
         yield tuple(sorted([u * x % n for x in members]))
 
 
 def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct unit multiples of a member tuple, each sorted, overall sorted.
+    """Distinct unit multiples of a strictly increasing member tuple, each
+    sorted, overall sorted.
 
     Lists the whole orbit at once, for callers, tests and the check that a
     lifted witness avoids the orbit; the CI scan lists it lazily instead.
@@ -99,13 +108,25 @@ def _shifts(g: CayleyDigraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _signatures(colours, shifts):
-    """Each vertex's colour, then per shift tuple the sorted colours at
-    v + s, zipped from the rotations by s, each one slice twice[s:s + n] of
-    the doubled colour list; an empty S has no rotations and adds nothing."""
+    """Each vertex's colour, then per shift tuple one integer code of the
+    colours at v + s, summed over the rotations by s, each one slice
+    twice[s:s + n] of the doubled list of colour weights.
+
+    Colour c weighs -n^(top - c), top the largest colour: a vertex has at
+    most n - 1 neighbours per shift tuple, so each colour's count is one
+    base-n digit, the smallest colour the most significant.  So no two
+    multisets of colours share a code, and the codes of equally many
+    neighbours order as their sorted colour tuples do.  The base depends
+    on n alone and two colourings with one histogram have one top, so the
+    codes of two digraphs over Z_n compare.  An empty S has no rotations
+    and adds nothing.
+    """
     n = len(colours)
-    twice = colours + colours
+    top = max(colours)
+    weight = [-n ** k for k in range(top, -1, -1)]
+    twice = list(map(weight.__getitem__, colours)) * 2
     halves = [
-        map(tuple, map(sorted, zip(*[twice[s:s + n] for s in half])))
+        map(sum, zip(*[twice[s:s + n] for s in half]))
         for half in shifts
         if half
     ]
@@ -117,10 +138,11 @@ def _joint_refinement(a_shifts, b_shifts, ca, cb):
     starting from the vertex colours `ca` of `a` and `cb` of `b`, each
     numbered 0..k-1 with every number used.
 
-    Each round recolours a vertex by its own colour and the sorted colours
-    of its out- and in-neighbours, numbered through one canonical palette
-    (the sorted signatures of both digraphs), so the colours only ever
-    split and depend on nothing but the coloured digraphs up to
+    Each round recolours a vertex by its own colour and the codes of the
+    colours of its out- and in-neighbours (see _signatures: they order as
+    the sorted neighbour colours do), numbered through one canonical
+    palette (the sorted signatures of both digraphs), so the colours only
+    ever split and depend on nothing but the coloured digraphs up to
     isomorphism.  A signature leads with the vertex's colour, so a round
     that adds no colour renumbers none: the colouring is stable.  Returns
     the stable colours of both digraphs, numbered 0..k-1, or None as soon
@@ -134,12 +156,13 @@ def _joint_refinement(a_shifts, b_shifts, ca, cb):
         ordered = sorted(sig_a)
         if ordered != sorted(sig_b):
             return None
-        palette = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
-        if len(palette) == count:
+        distinct = dict.fromkeys(ordered)
+        if len(distinct) == count:
             return ca, cb
-        ca = [palette[s] for s in sig_a]
-        cb = [palette[s] for s in sig_b]
-        count = len(palette)
+        count = len(distinct)
+        palette = dict(zip(distinct, range(count)))
+        ca = list(map(palette.__getitem__, sig_a))
+        cb = list(map(palette.__getitem__, sig_b))
 
 
 def brute_force_isomorphism(

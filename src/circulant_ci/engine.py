@@ -314,8 +314,8 @@ def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]
 
 def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
     # the tuples that are lexicographically least in their unit orbit,
-    # ascending: no multiple uS is smaller (u = 1 yields S itself, and all
-    # stops at the first smaller multiple)
+    # ascending: no multiple uS is smaller (u = 1 yields S itself, at no
+    # cost, and all stops at the first smaller multiple)
     return tuple(sorted(
         mem for mem in tuples
         if all(multiple >= mem for multiple in _unit_multiples(mem, n))

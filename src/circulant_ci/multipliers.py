@@ -12,17 +12,18 @@ ascending primes of n; its induced permutations are exactly what the
 isomorphism criterion scans.  It holds nothing but those rows: the images
 the criterion scans are computed lazily, one multiplier at a time as the
 scan reaches it, from the digits of the members of S alone, and no table
-over Z_{p^t} or Z_n is built.  One per-multiplier loop, _member_images,
-yields each multiplier's images member by member: ``images`` sorts them
-all, and ``first_into`` drops a multiplier at its first image outside the
-target set, so a miss costs no full image.
+over Z_{p^t} or Z_n is built.  One per-multiplier loop, _mapped_into,
+computes each multiplier's images member by member and drops the
+multiplier at its first image outside a given set of residues:
+``first_into`` gives the target set, so a miss costs no full image, and
+``images`` gives all of Z_n and sorts each image.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import product
 from operator import mul
@@ -65,9 +66,7 @@ class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
         return [list(row) for row in self.rows]
 
 
-def _digit_terms(
-    members: Iterable[int], f: Factorization
-) -> list[tuple[int, ...]]:
+def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ...]]:
     """The one statement of the multiplier action, as terms per member x.
 
     Row m of p^t acts on x through the digits x_i of x mod p^t, as
@@ -83,30 +82,43 @@ def _digit_terms(
         for (p, t), e in zip(f.parts, f.idempotents)
         for i in reversed(range(t))
     ]
-    return [tuple(x // q % p * q * e for p, q, e in places) for x in members]
+    # one column of terms per place, zipped into one tuple per member
+    return list(zip(*[[x // q % p * q * e for x in members] for p, q, e in places]))
 
 
-def _member_images(
+def _mapped_into(
     multipliers: Iterable[tuple[tuple[int, ...], ...]],
     terms: list[tuple[int, ...]],
     n: int,
-) -> Iterator[tuple[tuple[tuple[int, ...], ...], Iterator[int]]]:
+    inside: bytes | bytearray,
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
     """The one per-multiplier loop: each multiplier's rows, with its image
-    of every member, in member order, from the members' ``_digit_terms``.
+    of every member in member order, from the members' ``_digit_terms``,
+    for every multiplier that maps each member inside, where ``inside`` is
+    a 0/1 mask over Z_n.
 
-    An image is computed only when its reader reaches it, so a scan that
-    leaves the iterator unfinished computes no image past the member it
-    stops at.
+    A multiplier is dropped at its first image y with inside[y] = 0, and
+    the images of a multiplier are computed only when the reader reaches
+    it.
     """
     for rows in multipliers:
         entries = sum(rows, ())
-        yield rows, (sum(map(mul, entries, xt)) % n for xt in terms)
+        kept = []
+        for xt in terms:
+            y = sum(map(mul, entries, xt)) % n
+            if not inside[y]:
+                break
+            kept.append(y)
+        else:
+            yield rows, kept
 
 
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n."""
     f = m.key.factorization
-    ((_, image),) = _member_images((m.rows,), _digit_terms(range(f.n), f), f.n)
+    ((_, image),) = _mapped_into(
+        (m.rows,), _digit_terms(range(f.n), f), f.n, b"\1" * f.n
+    )
     return tuple(image)
 
 
@@ -168,11 +180,13 @@ class SolvingSet:
         """(rows, sorted image of members) per multiplier, in iteration order.
 
         The terms ``_digit_terms`` states are computed once per call, and a
-        multiplier's images only when the scan reaches it.
+        multiplier's images only when the scan reaches it.  Every image
+        lies in Z_n, so no multiplier is dropped.
         """
         f = self.key.factorization
-        terms = _digit_terms(members, f)
-        for rows, image in _member_images(product(*self._rows), terms, f.n):
+        for rows, image in _mapped_into(
+            product(*self._rows), _digit_terms(members, f), f.n, b"\1" * f.n
+        ):
             yield rows, tuple(sorted(image))
 
     def first_into(
@@ -189,16 +203,13 @@ class SolvingSet:
         compares the returned image with target to confirm it.
         """
         f = self.key.factorization
-        terms = _digit_terms(members, f)
-        inside = set(target)
-        for rows, image in _member_images(product(*self._rows), terms, f.n):
-            kept = []
-            for y in image:
-                if y not in inside:
-                    break
-                kept.append(y)
-            else:
-                return rows, tuple(sorted(kept))
+        inside = bytearray(f.n)
+        for y in target:
+            inside[y] = 1
+        for rows, image in _mapped_into(
+            product(*self._rows), _digit_terms(members, f), f.n, inside
+        ):
+            return rows, tuple(sorted(image))
         return None
 
 

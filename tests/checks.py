@@ -10,7 +10,8 @@ key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
 multiplier action with its own CRT recombination, the oracle's search
-over neighbour lists read one index at a time, the backtracking
+over neighbour lists read one index at a time, with its signatures of
+sorted neighbour colour tuples, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the enumeration of connection sets
 by combinations of residues or of pairs {x, -x}, the sweep's old
@@ -609,6 +610,78 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
                 for v in range(s.n):
                     assert {mapping[x] for x in a_out[v]} == b_out[mapping[v]], case
     return len(cases)
+
+
+def _ranks(signatures) -> list[int]:
+    # each vertex's place among the distinct signatures, ascending
+    place = {s: i for i, s in enumerate(sorted(set(signatures)))}
+    return [place[s] for s in signatures]
+
+
+def _random_pair(rng: random.Random, n: int, mode: str) -> tuple[CayleyDigraph, ...]:
+    """Two random Cayley digraphs over Z_n of one mode and one valency: in
+    graph mode each connection set is a union of pairs {x, -x}, with n/2 in
+    both or in neither."""
+    if mode == "digraph":
+        size = rng.randrange(n)
+        picks = [rng.sample(range(1, n), size) for _ in range(2)]
+    else:
+        pairs = range(1, (n + 1) // 2)
+        size = rng.randint(0, len(pairs))
+        half = [n // 2] if n % 2 == 0 and rng.random() < 0.5 else []
+        picks = [
+            half + [y for x in rng.sample(pairs, size) for y in (x, n - x)]
+            for _ in range(2)
+        ]
+    return tuple(
+        build_cayley(ConnectionSet(n, tuple(sorted(pick)), mode)) for pick in picks
+    )
+
+
+def check_signature_order(n_max: int = 16) -> int:
+    """cayley._signatures, which codes the colours at the neighbours of a
+    vertex as one integer per shift tuple, ranks the vertices of two
+    digraphs of one mode and valency exactly as the sorted neighbour colour
+    tuples of _signatures over _out_in rank them, so the joint refinement
+    numbers its colours as the reference does.
+
+    For every n <= n_max, both modes and every number k of colours from 1
+    to n: a seeded colouring using all k colours, one in which a colour
+    then fills the out- or in-neighbourhood of a vertex, and one in which
+    a colour fills a neighbourhood of Cay(Z_n, Z_n minus {0}), the largest
+    count of one colour there is.  Ranks over the vertices of both digraphs
+    are compared, not the codes themselves."""
+    rng = random.Random(SEED)
+    checked = 0
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            whole = build_cayley(ConnectionSet(n, tuple(range(1, n)), mode))
+            for k in range(1, n + 1):
+                # a plain colouring, one with a filled neighbourhood, and
+                # one filling a neighbourhood of Cay(Z_n, Z_n minus {0})
+                for trial in range(3):
+                    a, b = _random_pair(rng, n, mode) if trial < 2 else (whole, whole)
+                    colours = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+                    rng.shuffle(colours)
+                    if trial:
+                        out, inn = _out_in(a)
+                        v = rng.randrange(n)
+                        colour = rng.randrange(k)
+                        for w in rng.choice((out, inn))[v]:
+                            colours[w] = colour
+                    fast = [
+                        sig
+                        for g in (a, b)
+                        for sig in cayley._signatures(colours, cayley._shifts(g))
+                    ]
+                    slow = [
+                        sig
+                        for g in (a, b)
+                        for sig in _signatures(*_out_in(g), colours)
+                    ]
+                    assert _ranks(fast) == _ranks(slow), (n, mode, colours, a, b)
+                    checked += 1
+    return checked
 
 
 def almost_zero_key(f: Factorization) -> Key:

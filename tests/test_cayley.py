@@ -37,8 +37,17 @@ def test_connection_set_validation():
 
 def _out_sets(g):
     # the out-neighbours that the oracle derives, one set per vertex: under
-    # the colouring v -> v, the out-half of v's signature lists them
-    return [set(sig[1]) for sig in _signatures(list(range(g.n)), _shifts(g))]
+    # the colouring v -> v, each out-neighbour w of v adds -n^(n - 1 - w) to
+    # the out-code of v, so minus that code has n base-n digits, 1 at each
+    # out-neighbour w (most significant digit first) and 0 elsewhere
+    n = g.n
+    out = []
+    for sig in _signatures(list(range(n)), _shifts(g)):
+        code = -sig[1]
+        digits = [code // n ** (n - 1 - w) % n for w in range(n)]
+        assert set(digits) <= {0, 1} and code < n**n, (code, digits)
+        out.append({w for w in range(n) if digits[w]})
+    return out
 
 
 def test_build_cayley_examples():

@@ -2,7 +2,8 @@
 to their keys through the lattice join, keys of sets against the lattice
 join, multiplier structure, genuine rows and their order against the
 entry-by-entry rule, the reduction through the generated subgroup, the
-isomorphism oracle against the backtracking reference, the sweep's
+isomorphism oracle against the backtracking reference, the oracle's
+integer codes of neighbour colours against sorted colour tuples, the sweep's
 enumeration of the sets whose key is not (almost) zero against every orbit
 representative filtered by its key, the enumeration of connection sets
 against the one by residues and pairs {x, -x}, the orbit filter against
@@ -40,6 +41,10 @@ def test_reduction_lemma_consistency():
 
 def test_oracle_matches_backtracking():
     assert checks.check_oracle_against_backtracking() > 0
+
+
+def test_signature_codes_rank_as_sorted_tuples():
+    assert checks.check_signature_order() > 0
 
 
 def test_key_enumeration_matches_reference():
