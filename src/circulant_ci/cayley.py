@@ -31,6 +31,13 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be one of {MODES}")
 
 
+def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
+    if s.n != t.n:
+        raise DomainError("connection sets live over different Z_n")
+    if s.mode != t.mode:
+        raise DomainError("connection sets have different modes")
+
+
 class OracleCutoffError(RuntimeError):
     """The brute-force oracle refuses inputs above its configured cutoff."""
 
@@ -194,10 +201,7 @@ def brute_force_isomorphism(
     fixes 0 keeps its colours equal along the branch that follows it, and
     every candidate w is tried; no branch is cut for any other reason.
     """
-    if a.n != b.n:
-        raise DomainError("digraphs live over different Z_n")
-    if a.connection.mode != b.connection.mode:
-        raise DomainError("digraphs have different modes")
+    _check_pair(a.connection, b.connection)
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
@@ -228,12 +232,15 @@ def brute_force_isomorphism(
 
     root = [1] + [0] * (n - 1)
     mapping = search(root, root)
-    s, t = a.connection.members, b.connection.members
+    # f preserves the arcs iff it is a bijection, |S| = |T| and every
+    # f(v + s) - f(v) lies in T: the |S| distinct images of v's
+    # out-neighbours then fill f(v) + T
+    s, t = a.connection.members, frozenset(b.connection.members)
     if mapping is not None and (
         len(set(mapping)) != n
+        or len(s) != len(t)
         or any(
-            {mapping[(v + x) % n] for x in s} != {(mapping[v] + y) % n for y in t}
-            for v in range(n)
+            (mapping[(v + x) % n] - mapping[v]) % n not in t for v in range(n) for x in s
         )
     ):
         raise InternalConsistencyError("oracle mapping does not preserve the arcs")

@@ -36,7 +36,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import combinations
 
-from .cayley import ConnectionSet, _check_mode, _unit_multiples, orbit_members
+from .cayley import ConnectionSet, _check_mode, _check_pair, _unit_multiples, orbit_members
 from .keys import Key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
@@ -102,13 +102,6 @@ class DisagreementError(RuntimeError):
         self.reports = tuple(reports)
         bad = sum(1 for r in self.reports if r.agreement is False)
         super().__init__(f"{bad} cell(s) disagree with the classification predicates")
-
-
-def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
-    if s.n != t.n:
-        raise DomainError("connection sets live over different Z_n")
-    if s.mode != t.mode:
-        raise DomainError("connection sets have different modes")
 
 
 def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
@@ -314,12 +307,12 @@ def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]
 
 def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
     # the tuples that are lexicographically least in their unit orbit,
-    # ascending: no multiple uS is smaller (u = 1 yields S itself, at no
-    # cost, and all stops at the first smaller multiple)
-    return tuple(sorted(
+    # each once, ascending: no multiple uS is smaller (u = 1 yields S
+    # itself, at no cost, and all stops at the first smaller multiple)
+    return tuple(sorted({
         mem for mem in tuples
         if all(multiple >= mem for multiple in _unit_multiples(mem, n))
-    ))
+    }))
 
 
 def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[int, ...], ...]:
@@ -327,13 +320,6 @@ def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[
     _check_mode(mode)
     _check_nm(n, m)
     return _orbit_least(connection_set_tuples(n, m, mode), n)
-
-
-def _coset_closed(members: tuple[int, ...], n: int, p: int) -> bool:
-    # x + n/p lies in S for every x in S prime to p
-    inside = set(members)
-    step = n // p
-    return all((x + step) % n in inside for x in members if x % p)
 
 
 def _unions(blocks: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[int, ...]]:
@@ -377,18 +363,15 @@ def _scans(p: int, t: int) -> bool:
 
 def _key_candidates(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
     # every size-m member tuple (graph mode: inverse-closed) whose key is
-    # neither zero nor almost zero, each once; see m_property
-    done: list[int] = []
+    # neither zero nor almost zero, once per prime where its key row is
+    # non-zero; _orbit_least keeps each once.  See m_property
     for p, t in factorize(n).parts:
         if not _scans(p, t):
             continue
         step = n // p
         cosets = [tuple(range(x, n, step)) for x in range(1, step) if x % p]
         multiples = [(x,) for x in range(p, n, p)]
-        for mem in _unions(_blocks(cosets + multiples, n, mode), m):
-            if not any(_coset_closed(mem, n, q) for q in done):
-                yield mem
-        done.append(p)
+        yield from _unions(_blocks(cosets + multiples, n, mode), m)
 
 
 def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
@@ -404,13 +387,13 @@ def m_property(n: int, m: int, mode: str = "digraph") -> ClassificationReport:
     S prime to p is a union of cosets x + <n/p>, and the rest is any set
     of non-zero multiples of p; _blocks closes these blocks under
     negation in graph mode.  Only the prime powers _scans accepts count:
-    at the others every row is zero or almost zero.  A set that also
-    meets the condition at an earlier prime is skipped at the later one,
-    so none is visited twice.  The key is unit-invariant, so the least
-    member of every unit orbit is among the visited sets, and the kept
-    representatives are exactly those of orbit_representatives whose key
-    is not (almost) zero.  A visited set that decide_ci answers by the
-    zero key raises InternalConsistencyError.
+    at the others every row is zero or almost zero.  A set that meets the
+    condition at two primes (n = 72 = 8 * 9 is the least such modulus) is
+    visited once per prime, and the orbit filter keeps it once.  The key
+    is unit-invariant, so the least member of every unit orbit is among
+    the visited sets, and the kept representatives are exactly those of
+    orbit_representatives whose key is not (almost) zero.  A visited set
+    that decide_ci answers by the zero key raises InternalConsistencyError.
 
     Single valencies carry no closed-form predicate (those quantify over
     all valencies up to m), so the predicate fields stay None here.

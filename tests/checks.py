@@ -86,6 +86,13 @@ GENUINE_PRIME_POWERS = (
 )
 
 
+# moduli with two prime-power parts that can force a scan (2^t with t >= 3,
+# p^t with t >= 2 for odd p), where a set can have a non-trivial key row at
+# both primes; each with the largest digraph and graph valency at which
+# check_key_enumeration compares the enumeration
+TWO_PRIME_CELLS = ((72, 3, 6), (144, 2, 4), (200, 2, 4), (216, 2, 4), (225, 2, 4))
+
+
 # Key lattices (and per-prime row lists) kept at once by the references below.
 LATTICE_CACHE_SIZE = 128
 
@@ -804,30 +811,56 @@ def key_representatives_reference(n: int, m: int, mode: str) -> tuple[tuple[int,
     )
 
 
-def check_key_enumeration(n_max: int = 16, wide_n_max: int = 24, wide_m_max: int = 5) -> int:
+def _nontrivial_rows(n: int, mem: tuple[int, ...], mode: str) -> int:
+    """The number of primes of n at which the key of mem has a row that no
+    key of _ci_keys(n) has: the sweep's enumerator yields mem once per such
+    prime."""
+    k = key_of_set(ConnectionSet(n, mem, mode))
+    trivial = _ci_keys(n)
+    return sum(1 for i, row in enumerate(k.rows) if row not in {z.rows[i] for z in trivial})
+
+
+def check_key_enumeration(
+    n_max: int = 16,
+    wide_n_max: int = 24,
+    wide_m_max: int = 5,
+    two_prime_cells: tuple[tuple[int, int, int], ...] = TWO_PRIME_CELLS,
+) -> int:
     """The sweep's enumerator against key_representatives_reference: every m
-    for n <= n_max in both modes, and for n_max < n <= wide_n_max every m in
-    graph mode and m <= wide_m_max in digraph mode.  Per cell, the candidates
-    are distinct, none has the zero or almost zero key, they number the sum
-    of the reference's orbit sizes (so they are exactly those sets), and
-    their orbit-least members are the reference's representatives."""
-    checked = 0
-    for n in range(2, max(n_max, wide_n_max) + 1):
+    for n <= n_max in both modes, for n_max < n <= wide_n_max every m in
+    graph mode and m <= wide_m_max in digraph mode, and for each
+    (n, digraph_m_max, graph_m_max) of two_prime_cells every m up to those
+    bounds.  Per cell, none of the candidates has the zero or almost zero
+    key, the distinct ones number the sum of the reference's orbit sizes (so
+    they are exactly those sets), every set comes once per prime where its
+    key row is not trivial, and the candidates' orbit-least members are the
+    reference's representatives, each once."""
+    cells = [
+        (n, m, mode)
+        for n in range(2, max(n_max, wide_n_max) + 1)
+        for mode in MODES
+        for m in range(
+            1, (n - 1 if n <= n_max or mode == "graph" else min(wide_m_max, n - 1)) + 1
+        )
+    ]
+    for n, digraph_m_max, graph_m_max in two_prime_cells:
+        cells += [(n, m, "digraph") for m in range(1, digraph_m_max + 1)]
+        cells += [(n, m, "graph") for m in range(1, graph_m_max + 1)]
+    for cell in cells:
+        n, m, mode = cell
         trivial = _ci_keys(n)
-        for mode in MODES:
-            m_top = n - 1 if n <= n_max or mode == "graph" else min(wide_m_max, n - 1)
-            for m in range(1, m_top + 1):
-                cell = (n, m, mode)
-                candidates = list(_key_candidates(n, m, mode))
-                assert len(set(candidates)) == len(candidates), cell
-                for mem in candidates:
-                    assert key_of_set(ConnectionSet(n, mem, mode)) not in trivial, (cell, mem)
-                reference = key_representatives_reference(n, m, mode)
-                orbits = sum(len(orbit_members(mem, n)) for mem in reference)
-                assert len(candidates) == orbits, cell
-                assert _orbit_least(candidates, n) == reference, cell
-                checked += 1
-    return checked
+        candidates = list(_key_candidates(n, m, mode))
+        for mem in set(candidates):
+            assert key_of_set(ConnectionSet(n, mem, mode)) not in trivial, (cell, mem)
+        reference = key_representatives_reference(n, m, mode)
+        sizes = [len(orbit_members(mem, n)) for mem in reference]
+        assert len(set(candidates)) == sum(sizes), cell
+        visits = sum(
+            size * _nontrivial_rows(n, mem, mode) for mem, size in zip(reference, sizes)
+        )
+        assert len(candidates) == visits, cell
+        assert _orbit_least(candidates, n) == reference, cell
+    return len(cells)
 
 
 def ci_scan_reference(s: ConnectionSet) -> CiVerdict:

@@ -274,6 +274,7 @@ INPUT_CHECKS = {
     "modulus must be at least 2": ("zn", "_check_modulus"),
     "mode must be one of": ("cayley", "_check_mode"),
     "rows must be a tuple of tuples": ("keys", "_check_rows"),
+    "live over different Z_n": ("cayley", "_check_pair"),
 }
 
 
