@@ -3,17 +3,17 @@ self-contained isomorphism oracle.
 
 The oracle is deliberately independent of the key and multiplier machinery:
 it decides isomorphism on the adjacency structure alone, by
-individualization-refinement search, so it can serve as ground truth for
-the criterion-based engine.  Circulants are vertex-transitive, so colour
+individualization-refinement search, so it can serve as ground truth for the
+criterion-based engine.  Circulants are vertex-transitive, so colour
 refinement alone never splits their single colour class; the search first
-fixes vertex 0 (sound because translations are automorphisms), refines
-after every individualized choice, tries every candidate image, and
-arc-checks the mapping it returns.  It refuses (never approximates) above
-its cutoff.  The arcs of Cay(Z_n, S) are the translates (v, v + s), so the
-refinement reads the colours at v + s for all v at once, as a rotation of
-a list of colour weights, and builds no neighbour list: the weights sum
-to one integer per vertex and shift tuple, ordered as the sorted tuple of
-the neighbours' colours would be.
+fixes vertex 0 (sound: translations are automorphisms), starts from the
+adjacency to 0 read off S, refines after every individualized choice, tries
+every candidate image, and arc-checks the mapping it returns.  It refuses
+(never approximates) above its cutoff.  The arcs of Cay(Z_n, S) are the
+translates (v, v + s), so the refinement reads the colours at v + s for all
+v at once, as a rotation of a list of colour weights, and builds no
+neighbour list: the weights sum to one integer per vertex and shift tuple,
+ordered as the sorted tuple of the neighbours' colours would be.
 """
 
 from __future__ import annotations
@@ -172,6 +172,22 @@ def _joint_refinement(a_shifts, b_shifts, ca, cb):
         cb = list(map(palette.__getitem__, sig_b))
 
 
+def _adjacency_colours(a: CayleyDigraph, b: CayleyDigraph):
+    """One refinement round from vertex 0 alone, read off S: v != 0 codes
+    2[v in -S] + [v in S], 0 codes 4, and the round's signatures order so
+    (see _signatures); None exactly where that round refutes the pair."""
+    ca, cb = [0] * a.n, [0] * a.n
+    for code, g in ((ca, a), (cb, b)):
+        for s in g.connection.members:
+            code[-s] += 2
+            code[s] += 1
+        code[0] = 4
+    if sorted(ca) != sorted(cb):
+        return None
+    palette = {c: i for i, c in enumerate(sorted(set(ca)))}
+    return [palette[c] for c in ca], [palette[c] for c in cb]
+
+
 def brute_force_isomorphism(
     a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
 ) -> tuple[int, ...] | None:
@@ -182,8 +198,8 @@ def brute_force_isomorphism(
 
     1. Vertex 0 is fixed: every translation x -> x + g is an automorphism
        of a Cayley digraph, so if any isomorphism exists, composing it
-       with a translation of `b` gives one with 0 -> 0.  Vertex 0 gets its
-       own colour in both digraphs.
+       with a translation of `b` gives one with 0 -> 0.  The search starts
+       from one refinement round from 0 alone, read off S (_adjacency_colours).
     2. The joint refinement splits the colours and prunes the branch as
        soon as the colour histograms of `a` and `b` diverge.  It reads the
        arcs as rotations: the colours at v + s, for every v, are the colour
@@ -230,8 +246,8 @@ def brute_force_isomorphism(
                     return found
         return None
 
-    root = [1] + [0] * (n - 1)
-    mapping = search(root, root)
+    start = _adjacency_colours(a, b)
+    mapping = None if start is None else search(*start)
     # f preserves the arcs iff it is a bijection, |S| = |T| and every
     # f(v + s) - f(v) lies in T: the |S| distinct images of v's
     # out-neighbours then fill f(v) + T

@@ -576,10 +576,12 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
     """brute_force_isomorphism returns the mapping of index_list_isomorphism
     and the verdict of the backtracking reference on every same-size pair
     of orbit representatives with n <= n_max (both modes), its refinement
-    the same stable colours from vertex 0 individualized, and it finds the
-    non-unit isomorphisms of the witness families up to the oracle cutoff
-    (each family against its is_ci witness, both ways round) plus
-    Z_8 {1,2,5} ~ {1,5,6}; every mapping brute_force_isomorphism or the
+    the same stable colours from vertex 0 individualized, its starting
+    colours (cayley._adjacency_colours) those of one reference round from
+    there, or None exactly where that round's histograms differ, and it
+    finds the non-unit isomorphisms of the witness families up to the
+    oracle cutoff (each family against its is_ci witness, both ways round)
+    plus Z_8 {1,2,5} ~ {1,5,6}; every mapping brute_force_isomorphism or the
     backtracking reference returns is an arc-preserving bijection."""
     cases = []
     for n in range(2, n_max + 1):
@@ -608,6 +610,15 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
         assert cayley._joint_refinement(
             cayley._shifts(a), cayley._shifts(b), root, root
         ) == _joint_refinement(*_out_in(a), *_out_in(b), root, root), case
+        # the search's start: one round from the root, read off S
+        sig_a = _signatures(*_out_in(a), root)
+        sig_b = _signatures(*_out_in(b), root)
+        start = cayley._adjacency_colours(a, b)
+        if Counter(sig_a) != Counter(sig_b):
+            assert start is None, case
+        else:
+            ranks = _ranks(sig_a + sig_b)
+            assert start == (ranks[:s.n], ranks[s.n:]), case
         assert (fast is None) == (slow is None), case
         assert fast is not None or not known_isomorphic, case
         a_out, b_out = out_neighbours(a), out_neighbours(b)

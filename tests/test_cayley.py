@@ -8,6 +8,7 @@ from checks import out_neighbours
 from circulant_ci.cayley import (
     ConnectionSet,
     OracleCutoffError,
+    _adjacency_colours,
     _shifts,
     _signatures,
     brute_force_isomorphic,
@@ -103,11 +104,50 @@ def test_oracle_examples():
     assert brute_force_isomorphic(
         build_cayley(ConnectionSet(5, (1,))), build_cayley(ConnectionSet(5, (2,)))
     )
-    # unequal valencies: the first refinement round tells them apart
+    # unequal valencies: the adjacency to 0 tells them apart before any round
     for s, t in (((1,), (1, 2)), ((), (1,))):
         assert not brute_force_isomorphic(
             build_cayley(ConnectionSet(8, s)), build_cayley(ConnectionSet(8, t))
         )
+
+
+def _start(n, s, t, mode="digraph"):
+    return _adjacency_colours(
+        build_cayley(ConnectionSet(n, s, mode)), build_cayley(ConnectionSet(n, t, mode))
+    )
+
+
+def test_oracle_starts_from_the_adjacency_to_zero():
+    # codes 4 at 0, 2 on -S, 1 on S, 3 on both; numbered 0, 1, 2, 3 for 0, 1, 2, 4
+    assert _start(8, (1, 2, 5), (1, 5, 6)) == (
+        [3, 1, 1, 2, 0, 1, 2, 2],
+        [3, 1, 2, 2, 0, 1, 1, 2],
+    )
+    # graph mode: S = -S, so every neighbour of 0 codes 3
+    assert _start(8, (1, 4, 7), (3, 4, 5), "graph") == (
+        [2, 1, 0, 0, 1, 0, 0, 1],
+        [2, 0, 0, 1, 1, 1, 0, 0],
+    )
+    # no vertex told apart from another but 0: the root colouring
+    for n in range(2, 13):
+        root = [1] + [0] * (n - 1)
+        for mode in ("digraph", "graph"):
+            for members in ((), tuple(range(1, n))):
+                assert _start(n, members, members, mode) == (root, root)
+
+
+def test_oracle_refutes_before_any_round(monkeypatch):
+    # |S & -S| = 2 against |T & -T| = 0: the codes 3, 3 against 1, 1, 2, 2
+    assert _start(7, (1, 6), (1, 2)) is None
+
+    def no_round(*args):
+        raise AssertionError("a refinement round ran")
+
+    monkeypatch.setattr("circulant_ci.cayley._joint_refinement", no_round)
+    a = build_cayley(ConnectionSet(7, (1, 6)))
+    assert brute_force_isomorphism(a, build_cayley(ConnectionSet(7, (1, 2)))) is None
+    with pytest.raises(AssertionError, match="round ran"):
+        brute_force_isomorphism(a, a)
 
 
 def test_oracle_maps_empty_set_by_identity():
