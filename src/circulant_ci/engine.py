@@ -560,7 +560,9 @@ def verify_theorems(
     Any disagreeing cell raises DisagreementError carrying all reports
     (a disagreement is either an implementation bug or a refutation and
     must not pass silently).  Worker count never changes the result: each
-    modulus is one task, and the reports come back in task order.
+    modulus is one task, the forked workers take the largest first, and
+    the reports come back in task order.  Forking a process that runs
+    threads is unsafe, so such a caller keeps workers at 1.
     """
     _check_mode(mode)
     lo = _LEAST_M[mode]
@@ -569,19 +571,103 @@ def verify_theorems(
         ms = tuple(range(lo, min(m_max, n - 1) + 1))
         if ms:
             tasks.append((n, ms, mode))
-    # the pool forks all max_workers processes on the first submit, so it
-    # gets no more of them than there are tasks or CPUs
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    # a worker per task or CPU at most; a platform without fork runs in-process
+    workers = min(workers, len(tasks), os.cpu_count() or 1) if hasattr(os, "fork") else 1
     if workers > 1:
-        # imported here, so a process that starts no pool never loads
-        # multiprocessing and its dependencies
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_group_reports, tasks))
+        chunks = _worker_map(tasks, workers)
     else:
         chunks = [_group_reports(task) for task in tasks]
     reports = [r for chunk in chunks for r in chunk]
     if any(r.agreement is False for r in reports):
         raise DisagreementError(reports)
     return tuple(reports)
+
+
+def _worker_map(
+    tasks: list[tuple[int, tuple[int, ...], str]], workers: int
+) -> list[list[ClassificationReport]]:
+    # _group_reports of every task, in task order, from `workers` forked
+    # children, with no pool machinery and no thread.  The tasks reach the
+    # children by fork.  One pipe carries their indices as 4-byte records,
+    # the last task (the largest modulus) first, in pieces of at most
+    # PIPE_BUF bytes, so no record is split between two readers; a child
+    # reads the next whenever it is free.  When the pipe runs dry a child
+    # sends (index, reports or exception) for each of its tasks in one
+    # pickle on a pipe of its own.  Every child is reaped on every path;
+    # then a child that sent nothing raises RuntimeError, and otherwise the
+    # exception of the lowest failing task is raised, as the serial loop
+    # would raise it.
+    import pickle
+    from select import PIPE_BUF
+
+    task_r, task_w = os.pipe()
+    fds, children = {task_r, task_w}, {}  # open ends; pid -> its result end
+    sent, dead = [], []
+    try:
+        for _ in range(workers):
+            result_r, result_w = os.pipe()
+            fds |= {result_r, result_w}
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in fds - {task_r, result_w}:
+                        os.close(fd)
+                    done = []
+                    while record := os.read(task_r, 4):
+                        i = int.from_bytes(record, "little")
+                        try:
+                            done.append((i, _group_reports(tasks[i])))
+                        except Exception as exc:
+                            try:
+                                pickle.loads(pickle.dumps(exc))
+                            except Exception:
+                                exc = RuntimeError(repr(exc))
+                            done.append((i, exc))
+                    with open(result_w, "wb") as out:
+                        pickle.dump(done, out)
+                    status = 0
+                finally:
+                    os._exit(status)
+            fds.discard(result_w)
+            os.close(result_w)
+            children[pid] = result_r
+        fds.discard(task_r)
+        os.close(task_r)
+        order = b"".join(i.to_bytes(4, "little") for i in reversed(range(len(tasks))))
+        piece = PIPE_BUF - PIPE_BUF % 4
+        try:
+            for start in range(0, len(order), piece):
+                os.write(task_w, order[start:start + piece])
+        except BrokenPipeError:
+            pass  # no child is left to read; reaping them reports why
+        fds.discard(task_w)
+        os.close(task_w)
+        for pid, result_r in list(children.items()):
+            fds.discard(result_r)
+            with open(result_r, "rb") as results:
+                data = results.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status:
+                dead.append(f"{pid} (wait status {status})")
+            else:
+                sent += pickle.loads(data)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        if children:
+            from signal import SIGKILL
+
+            for pid in children:
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+    if dead:
+        raise RuntimeError(f"sweep workers ended before sending their reports: {', '.join(dead)}")
+    sent.sort(key=lambda pair: pair[0])
+    if [i for i, _ in sent] != list(range(len(tasks))):
+        raise InternalConsistencyError("the workers did not run every task once")
+    for _, value in sent:
+        if isinstance(value, Exception):
+            raise value
+    return [value for _, value in sent]

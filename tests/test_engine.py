@@ -1,7 +1,10 @@
 """Unit tests for the isomorphism criterion, CI decisions, sweeps,
 predicates, and witness families."""
 
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -349,30 +352,22 @@ def test_sweep_walks_each_valency_once(monkeypatch):
 
 
 def test_verify_theorems_parallel_matches_serial():
-    serial = verify_theorems(10, 5, "digraph", workers=1)
-    parallel = verify_theorems(10, 5, "digraph", workers=2)
-    assert serial == parallel
+    # the workers take the largest modulus first, and the reports still come
+    # back in task order
+    for n_max, m_max, mode in ((24, 6, "digraph"), (32, 10, "graph")):
+        serial = verify_theorems(n_max, m_max, mode, workers=1)
+        assert verify_theorems(n_max, m_max, mode, workers=2) == serial
 
 
 def test_verify_theorems_caps_workers_at_tasks(monkeypatch):
-    # a real pool forks every requested worker up front; the fake starts none
+    # the real worker map forks every requested worker; the fake starts none
     started = []
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def fake_worker_map(tasks, workers):
+        started.append(workers)
+        return [engine._group_reports(task) for task in tasks]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    # verify_theorems imports the pool class from here when it needs one
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(engine, "_worker_map", fake_worker_map)
     # the host's CPU count, fixed here so the caps below do not depend on it
     monkeypatch.setattr("os.cpu_count", lambda: 3)
     # cells (4, 3) and (5, 3): one task per n, so two tasks
@@ -384,10 +379,118 @@ def test_verify_theorems_caps_workers_at_tasks(monkeypatch):
     # four tasks (n = 4..7) on three CPUs: three workers
     assert verify_theorems(7, 3, workers=4096) == verify_theorems(7, 3)
     assert started == [2, 3]
-    # an unknown CPU count caps the pool at one worker, so no pool starts
+    # a platform without fork runs the sweep in-process
+    with monkeypatch.context() as patch:
+        patch.delattr("os.fork")
+        assert verify_theorems(7, 3, workers=4096) == verify_theorems(7, 3)
+    assert started == [2, 3]
+    # an unknown CPU count caps the workers at one, so none is forked
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert verify_theorems(7, 3, workers=4096) == verify_theorems(7, 3)
     assert started == [2, 3]
+
+
+def _failing_group_reports(fail):
+    # _group_reports, except at the moduli in fail, where fail[n]() is called
+    group_reports = engine._group_reports
+
+    def patched(task):
+        if task[0] in fail:
+            fail[task[0]]()
+        return group_reports(task)
+
+    return patched
+
+
+def _raise_at(n):
+    def fail():
+        raise InternalConsistencyError(f"planted failure at n = {n}")
+
+    return fail
+
+
+def test_worker_map_raises_the_lowest_failing_task(monkeypatch):
+    # every task runs; the error of the lowest modulus is raised, as in the
+    # serial loop, and only after every worker is reaped
+    fail = {n: _raise_at(n) for n in (6, 9)}
+    monkeypatch.setattr(engine, "_group_reports", _failing_group_reports(fail))
+    for workers in (1, 2):
+        with pytest.raises(InternalConsistencyError, match="at n = 6$"):
+            verify_theorems(10, 4, "digraph", workers=workers)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_map_takes_the_largest_modulus_first(monkeypatch, tmp_path):
+    # each task logs its worker and modulus as it starts; the workers read
+    # one queue, largest modulus first, so every worker's moduli descend,
+    # and the nine tasks n = 4..12 run once each
+    started = tmp_path / "started"
+    group_reports = engine._group_reports
+
+    def logging_group_reports(task):
+        with open(started, "a") as log:
+            log.write(f"{os.getpid()} {task[0]}\n")
+        return group_reports(task)
+
+    monkeypatch.setattr(engine, "_group_reports", logging_group_reports)
+    assert verify_theorems(12, 4, "digraph", workers=2) == verify_theorems(12, 4)
+    by_worker = {}
+    for line in started.read_text().splitlines():
+        pid, n = map(int, line.split())
+        by_worker.setdefault(pid, []).append(n)
+    # the serial run, in this process, ascends
+    assert by_worker.pop(os.getpid()) == list(range(4, 13))
+    assert sorted(n for ns in by_worker.values() for n in ns) == list(range(4, 13))
+    assert all(ns == sorted(ns, reverse=True) for ns in by_worker.values())
+
+
+def test_worker_map_reports_a_worker_that_dies(monkeypatch):
+    # a worker that exits without sending its reports fails the sweep with its
+    # wait status, and no worker is left running or unreaped
+    fail = {7: lambda: os._exit(7)}
+    monkeypatch.setattr(engine, "_group_reports", _failing_group_reports(fail))
+    with pytest.raises(RuntimeError, match=rf"wait status {7 << 8}\)"):
+        verify_theorems(10, 4, "digraph", workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_map_sends_an_unpicklable_error_as_its_repr(monkeypatch):
+    class Unpicklable(Exception):
+        def __reduce__(self):
+            raise TypeError("cannot pickle")
+
+    def fail():
+        raise Unpicklable("at n = 8")
+
+    monkeypatch.setattr(engine, "_group_reports", _failing_group_reports({8: fail}))
+    with pytest.raises(RuntimeError, match=r"^Unpicklable\('at n = 8'\)$"):
+        verify_theorems(10, 4, "digraph", workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_map_reaps_its_workers_on_an_interrupt(monkeypatch):
+    # a KeyboardInterrupt in the parent while the workers are busy (the
+    # timer's signal reaches the parent only) kills and reaps every worker at
+    # once, rather than waiting for the queue to drain, before it propagates
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(engine, "_group_reports", lambda task: time.sleep(10))
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.2)
+        with pytest.raises(KeyboardInterrupt):
+            verify_theorems(10, 4, "digraph", workers=2)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_orbit_closure_of_verdicts():

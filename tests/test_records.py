@@ -106,7 +106,7 @@ def test_pickle_round_trip(name):
 
 
 def test_report_round_trip_keeps_its_counterexamples():
-    # the --workers path: reports come back from the pool pickled
+    # the --workers path: reports come back from the workers pickled
     report = RECORDS["ClassificationReport"]
     assert len(report.counterexamples) == 2
     back = pickle.loads(pickle.dumps(report))

@@ -213,7 +213,7 @@ def _attribute_reads(node: ast.AST, attr: str):
 # so neither dataclasses nor the inspect it imports is loaded
 LAZY_MODULES = (
     "concurrent.futures.process", "multiprocessing", "pathlib", "csv", "typing",
-    "dataclasses", "inspect", "bisect",
+    "dataclasses", "inspect", "bisect", "pickle",
 )
 
 
@@ -230,6 +230,24 @@ def test_import_loads_only_what_commands_run():
             capture_output=True, text=True, check=True,
         ).stdout
         assert out == "[]\n", (module, out)
+
+
+def test_workers_start_no_pool_and_no_thread():
+    # the forked workers need neither pool module; with no thread running, a
+    # fork is safe (and Python 3.12+ warns about none)
+    src = str(Path(circulant_ci.__file__).parent.parent)
+    probe = (
+        f"import os, sys; sys.path.insert(0, {src!r}); "
+        # two CPUs, so the sweep forks two workers on any host
+        "os.cpu_count = lambda: 2; "
+        "from circulant_ci.engine import verify_theorems; "
+        "verify_theorems(20, 6, 'digraph', workers=2); "
+        "print(sorted({'multiprocessing', 'concurrent.futures', 'threading'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n", out
 
 
 def test_output_format_read_only_by_emit():
