@@ -3,7 +3,9 @@
 Shared between the per-module tests and the acceptance run.  Each check
 raises AssertionError on the first violation and returns the number of
 cases it verified.  Sampling, where a space is too large to exhaust, is
-seeded and deterministic.
+seeded and deterministic.  Tier-1 runs every check once at its default
+widths; CI_CHECKS at the end holds the wider CI runs, and
+``PYTHONPATH=src:tests python tests/checks.py`` runs them.
 
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
@@ -27,6 +29,8 @@ from __future__ import annotations
 
 import math
 import random
+import signal
+import time
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product
@@ -531,7 +535,7 @@ def check_reduction_consistency(n_max: int = 12) -> int:
     return checked
 
 
-def check_criterion_against_oracle(n_max: int = 10) -> int:
+def check_criterion_against_oracle(n_max: int = 11) -> int:
     """Criterion verdict equals brute force on every same-size pair of orbit
     representatives (both modes), and keys agree whenever the oracle says
     isomorphic."""
@@ -983,3 +987,48 @@ def check_iso_scan_against_reference(n_max: int = 10) -> int:
     assert exhausted > 0, "no exhausted verdict was compared"
     assert non_unit, "no witness that acts as no unit was compared"
     return len(cases)
+
+
+# The CI runs: (check, its keyword arguments, time limit in seconds), run in
+# order by the entry point below; each comment gives the row's measured cost.
+CI_CHECKS = (
+    # moduli with two scanned primes past tier-1's valencies: digraph m <= 4
+    # and graph m <= 8 at 72, m <= 3 and m <= 6 at 144, 200, 216 and 225,
+    # m <= 2 and m <= 4 at 288, 360, 400 and 441, in about a minute
+    ("check_key_enumeration", {"two_prime_cells": (
+        (72, 4, 8), (144, 3, 6), (200, 3, 6), (216, 3, 6), (225, 3, 6),
+        (288, 2, 4), (360, 2, 4), (400, 2, 4), (441, 2, 4),
+    )}, 300),
+    # every orbit representative with n <= 20 in both modes, about 40 s
+    ("check_ci_scan_against_reference", {"n_max": 20}, 300),
+    # about 220 000 pairs in about 20 s
+    ("check_iso_scan_against_reference", {"n_max": 12}, 120),
+    # every m for n <= 20 in both modes, then graph every m and digraph
+    # m <= 5 up to n = 30: 675 cells in about 30 s
+    ("check_orbit_filter", {"n_max": 20, "wide_n_max": 30, "wide_m_max": 5}, 300),
+    # every key with n <= 128: 26 045 multipliers in about 25 s
+    ("check_multiplier_action", {"n_max": 128}, 300),
+    # up to the oracle cutoff: 35 182 pairs in about 55 s
+    ("check_oracle_against_backtracking", {"n_max": 12}, 300),
+    # every n <= 40 in both modes: 4 914 colourings in a few seconds
+    ("check_signature_order", {"n_max": 40}, 120),
+    # up to the oracle cutoff: 35 176 pairs in 2.6 s
+    ("check_criterion_against_oracle", {"n_max": 12}, 15),
+    # 1 048 699 subsets in 32.9 s
+    ("check_key_against_lattice", {"n_max": 20}, 120),
+)
+
+
+def _over_time_limit(signum, frame):
+    raise TimeoutError("the check ran past its time limit")
+
+
+if __name__ == "__main__":
+    signal.signal(signal.SIGALRM, _over_time_limit)
+    for name, kwargs, seconds in CI_CHECKS:
+        print(name, end=": ", flush=True)
+        start = time.perf_counter()
+        signal.alarm(seconds)
+        count = globals()[name](**kwargs)
+        signal.alarm(0)
+        print(f"{count} in {time.perf_counter() - start:.1f} s", flush=True)

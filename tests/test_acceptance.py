@@ -66,7 +66,7 @@ def test_criterion_2_prime_square_solving_sets():
 
 def test_criterion_3_criterion_equals_oracle():
     with criterion("criterion 3: criterion verdict = brute-force oracle, n in 2..11, both modes"):
-        pairs = checks.check_criterion_against_oracle(11)
+        pairs = checks.check_criterion_against_oracle()
         assert pairs > 2000  # sanity: the sweep actually covered the space
 
 

@@ -165,6 +165,18 @@ def test_decide_ci_computes_the_key_of_s_once(monkeypatch, n, members, fast_path
     assert calls.count(s) == 1
 
 
+@pytest.mark.parametrize("lifted, message", [
+    ((2, 4, 10), "lifted witness fell inside the unit orbit"),  # S itself
+    ((2, 6, 10), "changed the key"),  # key rows ((0, 0, 0, 3),), not S's
+], ids=("inside-orbit", "key-changed"))
+def test_is_ci_reduced_checks_the_lifted_witness(monkeypatch, lifted, message):
+    # {2, 4, 10} is non-CI by its reduction {1, 2, 5} in Z_8; a faulty lift
+    # must not pass as its witness
+    monkeypatch.setattr(engine, "_lift", lambda members, n, q: lifted)
+    with pytest.raises(InternalConsistencyError, match=message):
+        is_ci_reduced(_cs(16, (2, 4, 10)))
+
+
 def test_m_property_examples():
     r = m_property(8, 3, "digraph")
     assert not r.property_holds
