@@ -8,6 +8,7 @@ import pytest
 from circulant_ci.cli import _finish_reports, main
 from circulant_ci.engine import ClassificationReport
 from record_cli_golden import GOLDEN, run_case
+from record_sweep_digests import DIGESTS, sweep_digest
 
 
 def run(capsys, *argv):
@@ -208,3 +209,11 @@ def test_output_matches_golden_bytes(tmp_path):
     for case in cases:
         code, stdout = run_case(case["argv"], tmp_path)
         assert (code, stdout) == (case["code"], case["stdout"]), case["argv"]
+
+
+def test_sweeps_match_recorded_digests():
+    # the sweeps past the golden range, recorded by tests/record_sweep_digests.py
+    cases = json.loads(DIGESTS.read_text())
+    assert len(cases) == 3
+    for case in cases:
+        assert sweep_digest(case["argv"]) == (case["code"], case["sha256"]), case["argv"]
