@@ -24,6 +24,7 @@ from collections.abc import Iterator
 from .zn import DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
 
 MODES = ("digraph", "graph")
+ORACLE_CUTOFF = 12  # the largest n the oracle searches unless its caller says otherwise
 
 
 def _check_mode(mode: str) -> None:
@@ -189,7 +190,7 @@ def _adjacency_colours(a: CayleyDigraph, b: CayleyDigraph):
 
 
 def brute_force_isomorphism(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
+    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = ORACLE_CUTOFF
 ) -> tuple[int, ...] | None:
     """An arc-preserving vertex bijection from `a` onto `b`, or None.
 
@@ -264,7 +265,7 @@ def brute_force_isomorphism(
 
 
 def brute_force_isomorphic(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
+    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = ORACLE_CUTOFF
 ) -> bool:
     """Boolean form of the oracle."""
     return brute_force_isomorphism(a, b, oracle_cutoff=oracle_cutoff) is not None

@@ -19,6 +19,7 @@ import sys
 from . import engine
 from .cayley import (
     MODES,
+    ORACLE_CUTOFF,
     ConnectionSet,
     OracleCutoffError,
     brute_force_isomorphism,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=FORMATS, default="text")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--oracle-cutoff", type=int, default=12, dest="oracle_cutoff")
+    parser.add_argument("--oracle-cutoff", type=int, default=ORACLE_CUTOFF, dest="oracle_cutoff")
     sub = parser.add_subparsers(dest="command", required=True)
     # the one declaration of --mode, shared by every command that takes it
     mode_parent = argparse.ArgumentParser(add_help=False)

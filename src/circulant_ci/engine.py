@@ -34,7 +34,7 @@ import math
 import os
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import combinations
+from itertools import combinations, groupby, product, repeat
 
 from .cayley import ConnectionSet, _check_mode, _check_pair, _unit_multiples, orbit_members
 from .keys import Key, key_of_set, zero_key
@@ -125,8 +125,7 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
         identity = next(iter(solving_set(zero_key(factorize(s.n)))))
         return IsoVerdict(True, "multiplier-found", identity)
     ks = key_of_set(s)
-    kt = key_of_set(t)
-    if ks != kt:
+    if ks != key_of_set(t):
         return IsoVerdict(False, "key-mismatch")
     # the scan tests S^f inside T, which is S^f = T only when |S| = |T|
     if len(s.members) != len(t.members):
@@ -323,27 +322,18 @@ def orbit_representatives(n: int, m: int, mode: str = "digraph") -> tuple[tuple[
 
 
 def _unions(blocks: Iterable[tuple[int, ...]], m: int) -> Iterator[tuple[int, ...]]:
-    # every union of m members from pairwise disjoint blocks, as a sorted
-    # tuple; the blocks are grouped by size and picked largest first, so the
-    # count taken from the last group is forced
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for block in blocks:
-        groups.setdefault(len(block), []).append(block)
-    sized = sorted(groups.items(), reverse=True)
-
-    def pick(i: int, left: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        size, group = sized[i]
-        if i == len(sized) - 1:
-            if left % size == 0:
-                yield from combinations(group, left // size)
-            return
-        for c in range(min(left // size, len(group)) + 1):
-            for combo in combinations(group, c):
-                for rest in pick(i + 1, left - c * size):
-                    yield combo + rest
-
-    for chosen in pick(0, m):
-        yield tuple(sorted(x for block in chosen for x in block))
+    # every union of m members from pairwise disjoint blocks, as a sorted tuple:
+    # per vector c of block counts by size, largest first, summing to m, each
+    # choice of c[i] blocks of group i, chained lazily (product stores them all)
+    by_size = groupby(sorted(blocks, key=len, reverse=True), len)
+    sized = [(size, list(group)) for size, group in by_size]
+    for counts in product(*(range(min(m // size, len(group)) + 1) for size, group in sized)):
+        if sum(c * size for c, (size, _) in zip(counts, sized)) == m:
+            chosen = [()]
+            for (_, group), c in zip(sized, counts):
+                chosen = (head + tail for head, (g, k) in zip(chosen, repeat((group, c)))
+                          for tail in combinations(g, k))  # zip binds group, c now
+            yield from (tuple(sorted(sum(choice, ()))) for choice in chosen)
 
 
 def _blocks(blocks: Iterable[tuple[int, ...]], n: int, mode: str) -> list[tuple[int, ...]]:

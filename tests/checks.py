@@ -47,6 +47,7 @@ from circulant_ci.cayley import (
     orbit_members,
 )
 from circulant_ci.engine import (
+    _LEAST_M,
     CiVerdict,
     IsoVerdict,
     _key_candidates,
@@ -57,6 +58,8 @@ from circulant_ci.engine import (
     isomorphism_class,
     muzychuk_isomorphic,
     orbit_representatives,
+    predicate_mci,
+    predicate_mdci,
     witnesses,
 )
 from circulant_ci.keys import Key, key_of_set, key_partition, zero_key
@@ -270,7 +273,7 @@ def out_neighbours(g: CayleyDigraph) -> list[set[int]]:
 
 
 def backtracking_isomorphism(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = 12
+    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = cayley.ORACLE_CUTOFF
 ) -> tuple[int, ...] | None:
     """Reference for brute_force_isomorphism: an arc-preserving vertex
     bijection from `a` onto `b`, or None.
@@ -989,6 +992,33 @@ def check_iso_scan_against_reference(n_max: int = 10) -> int:
     return len(cases)
 
 
+def check_witness_boundary(n_max: int = 1000) -> int:
+    """The theorem's "only if" half by the witness families: for every
+    n <= n_max in both modes, engine.witnesses lists a family iff the
+    closed-form predicate fails at some valency m < n, the least family has
+    the first such m as its size, and for every family's set S,
+    is_ci_reduced returns a mate that is no unit multiple of S, the orbit of
+    S listed here from units(n)."""
+    checked = 0
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            predicate = predicate_mdci if mode == "digraph" else predicate_mci
+            first_failing = next(
+                (m for m in range(_LEAST_M[mode], n) if not predicate(n, m)), None
+            )
+            families = witnesses(n, mode)
+            sizes = [len(family.connection_set.members) for family in families]
+            assert min(sizes, default=None) == first_failing, (n, mode, sizes)
+            for family in families:
+                s = family.connection_set
+                orbit = {tuple(sorted(u * x % n for x in s.members)) for u in units(n)}
+                verdict = is_ci_reduced(s)
+                assert not verdict.is_ci, (n, mode, family.family)
+                assert verdict.witness.members not in orbit, (n, mode, family.family)
+                checked += 1
+    return checked
+
+
 # The CI runs: (check, its keyword arguments, time limit in seconds), run in
 # order by the entry point below; each comment gives the row's measured cost.
 CI_CHECKS = (
@@ -1016,6 +1046,8 @@ CI_CHECKS = (
     ("check_criterion_against_oracle", {"n_max": 12}, 15),
     # 1 048 699 subsets in 32.9 s
     ("check_key_against_lattice", {"n_max": 20}, 120),
+    # every n <= 3 000 in both modes: 1 927 families in about 18 s
+    ("check_witness_boundary", {"n_max": 3000}, 120),
 )
 
 

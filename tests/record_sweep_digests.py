@@ -43,10 +43,11 @@ def sweep_digest(argv: list[str]) -> tuple[int, str]:
 
 
 def record() -> list[dict]:
-    return [
-        dict(zip(("argv", "code", "sha256"), (argv, *sweep_digest(argv))))
-        for argv in COMMANDS
-    ]
+    cases = []
+    for argv in COMMANDS:
+        code, digest = sweep_digest(argv)
+        cases.append({"argv": argv, "code": code, "sha256": digest})
+    return cases
 
 
 def check(flags: list[str]) -> bool:

@@ -245,11 +245,32 @@ def test_orbit_representatives_cover_all_sets():
 
 
 def test_unions_pick_the_largest_blocks_first():
-    # the order the sweep visits its candidates in: the larger blocks are
-    # chosen first, in their given order, and the smallest complete each choice
+    # the order is deterministic, the larger blocks chosen first in their
+    # given order, but not a contract: the orbit filter sorts what it keeps
     blocks = [(4,), (1, 2, 3), (5,), (6,)]
     assert list(engine._unions(blocks, 3)) == [(4, 5, 6), (1, 2, 3)]
     assert list(engine._unions(blocks, 4)) == [(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6)]
+
+
+def test_unions_match_subsets_of_blocks():
+    # against brute force over every sub-collection of blocks: 1 to 4 block
+    # sizes, the first holding a single block (as {n/2} does in graph mode)
+    rng = random.Random(29)
+    for _ in range(40):
+        sizes = rng.sample(range(1, 6), rng.randint(1, 4))
+        counts = [1] + [rng.randint(1, 3) for _ in sizes[1:]]
+        members = rng.sample(range(1, 100), sum(b * c for b, c in zip(sizes, counts)))
+        blocks = []
+        for size in [b for b, c in zip(sizes, counts) for _ in range(c)]:
+            blocks.append(tuple(members[:size]))
+            members = members[size:]
+        rng.shuffle(blocks)
+        by_size = {}
+        for bits in range(1 << len(blocks)):
+            union = sorted(x for i, block in enumerate(blocks) if bits >> i & 1 for x in block)
+            by_size.setdefault(len(union), []).append(tuple(union))
+        for m in range(sum(map(len, blocks)) + 1):
+            assert sorted(engine._unions(blocks, m)) == sorted(by_size.get(m, [])), (blocks, m)
 
 
 def test_is_m_group_examples():

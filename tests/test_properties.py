@@ -20,6 +20,7 @@ TIER1_CHECKS = (
     "check_orbit_filter",
     "check_ci_scan_against_reference",
     "check_iso_scan_against_reference",
+    "check_witness_boundary",
 )
 
 

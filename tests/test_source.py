@@ -207,10 +207,11 @@ def _attribute_reads(node: ast.AST, attr: str):
     )
 
 
-# loaded only by the branch that runs them: the worker pool, the csv
-# output and the binary search of a multiplier's row; pathlib is not used,
-# typing names come from collections.abc, and the records are named tuples,
-# so neither dataclasses nor the inspect it imports is loaded
+# loaded only by the branch that runs them: the pickle of the forked
+# workers, the csv output and the binary search of a multiplier's row; no
+# pool module and no pathlib is used, typing names come from collections.abc,
+# and the records are named tuples, so neither dataclasses nor the inspect
+# it imports is loaded
 LAZY_MODULES = (
     "concurrent.futures.process", "multiprocessing", "pathlib", "csv", "typing",
     "dataclasses", "inspect", "bisect", "pickle",
