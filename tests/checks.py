@@ -538,24 +538,28 @@ def check_reduction_consistency(n_max: int = 12) -> int:
     return checked
 
 
+def _same_size_pairs(n_max: int):
+    """Each same-size pair of orbit representatives with n <= n_max, both
+    modes: by n, then mode, then size, then combinations_with_replacement."""
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            for m in range(1, n):
+                reps = [ConnectionSet(n, mem, mode) for mem in orbit_representatives(n, m, mode)]
+                yield from combinations_with_replacement(reps, 2)
+
+
 def check_criterion_against_oracle(n_max: int = 11) -> int:
     """Criterion verdict equals brute force on every same-size pair of orbit
     representatives (both modes), and keys agree whenever the oracle says
     isomorphic."""
     checked = 0
-    for n in range(2, n_max + 1):
-        for mode in ("digraph", "graph"):
-            for m in range(1, n):
-                reps = orbit_representatives(n, m, mode)
-                for amem, bmem in combinations_with_replacement(reps, 2):
-                    s = ConnectionSet(n, amem, mode)
-                    t = ConnectionSet(n, bmem, mode)
-                    verdict = muzychuk_isomorphic(s, t).isomorphic
-                    oracle = brute_force_isomorphic(build_cayley(s), build_cayley(t))
-                    assert verdict == oracle, (n, mode, amem, bmem)
-                    if oracle:
-                        assert key_of_set(s) == key_of_set(t), (n, mode, amem, bmem)
-                    checked += 1
+    for s, t in _same_size_pairs(n_max):
+        case = (s.n, s.mode, s.members, t.members)
+        oracle = brute_force_isomorphic(build_cayley(s), build_cayley(t))
+        assert muzychuk_isomorphic(s, t).isomorphic == oracle, case
+        if oracle:
+            assert key_of_set(s) == key_of_set(t), case
+        checked += 1
     return checked
 
 
@@ -590,15 +594,7 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
     oracle cutoff (each family against its is_ci witness, both ways round)
     plus Z_8 {1,2,5} ~ {1,5,6}; every mapping brute_force_isomorphism or the
     backtracking reference returns is an arc-preserving bijection."""
-    cases = []
-    for n in range(2, n_max + 1):
-        for mode in ("digraph", "graph"):
-            for m in range(1, n):
-                reps = orbit_representatives(n, m, mode)
-                cases += [
-                    (ConnectionSet(n, amem, mode), ConnectionSet(n, bmem, mode), False)
-                    for amem, bmem in combinations_with_replacement(reps, 2)
-                ]
+    cases = [(s, t, False) for s, t in _same_size_pairs(n_max)]
     isomorphic = [(ConnectionSet(8, (1, 2, 5)), ConnectionSet(8, (1, 5, 6)))]
     for n in range(2, 13):
         for mode in ("digraph", "graph"):

@@ -1,15 +1,28 @@
-"""Record the CLI golden file replayed by tests/test_cli.py.
+"""Record the CLI golden file replayed by tests/test_cli.py and by CI.
 
-Runs every command of CASES under --format text, json and csv, in
-process, and writes its stdout and exit code to tests/cli_golden.json.
-Re-record only on purpose, when an output change is intended:
+Runs every command of CASES under --format text, json and csv, then every
+sweep of SWEEPS under --format json, all in process, and writes each exit
+code to tests/cli_golden.json with the command's stdout, or for a sweep
+the SHA-256 of its stdout.  The JSON form of a sweep carries every
+counterexample and witness, where the text form prints only their count,
+so the digests pin the sweeps' answers past the range of CASES.
+Re-record only on purpose, when an output change is intended, and list
+every re-recorded case in CHANGES.md:
 
     PYTHONPATH=src python tests/record_cli_golden.py
+
+With --check it writes nothing: it runs every recorded case again, the
+arguments after --check (such as --workers 2) placed before the
+subcommand, prints one line per case and exits 1 if an exit code, stdout
+or digest differs:
+
+    PYTHONPATH=src python tests/record_cli_golden.py --check --workers 2
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -55,28 +68,56 @@ CASES = (
     ["witness", "600", "--mode", "graph"],
 )
 
+SWEEPS = (
+    ["--format", "json", "verify", "--n-max", "20", "--m-max", "6"],
+    # n = 72 = 8 * 9 is the least modulus where a set is a candidate at two primes
+    ["--format", "json", "verify", "--n-max", "72", "--m-max", "6", "--mode", "digraph"],
+    ["--format", "json", "verify", "--n-max", "72", "--m-max", "10", "--mode", "graph"],
+)
 
-def run_case(argv: list[str], dump_dir: Path) -> tuple[int, str]:
-    """Exit code and stdout of one command; classify/verify dump into dump_dir."""
+
+def argv_lists() -> list[list[str]]:
+    """Every recorded command, in the golden file's order."""
+    return [["--format", fmt] + command for command in CASES for fmt in FORMATS] + list(SWEEPS)
+
+
+def run_case(argv: list[str], dump_dir: Path, digest: bool) -> dict:
+    """Exit code and stdout, or its SHA-256, of one command run in process;
+    classify/verify dump into dump_dir."""
     if {"classify", "verify"} & set(argv):
         argv = argv + ["--dump", str(dump_dir / "dump.json")]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
-    return code, out.getvalue()
+    if digest:
+        return {"code": code, "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+    return {"code": code, "stdout": out.getvalue()}
 
 
 def record() -> list[dict]:
-    cases = []
     with tempfile.TemporaryDirectory() as tmp:
-        for command in CASES:
-            for fmt in FORMATS:
-                argv = ["--format", fmt] + command
-                code, stdout = run_case(argv, Path(tmp))
-                cases.append({"argv": argv, "code": code, "stdout": stdout})
-    return cases
+        return [
+            {"argv": argv, **run_case(argv, Path(tmp), argv in SWEEPS)}
+            for argv in argv_lists()
+        ]
+
+
+def check(flags: list[str]) -> list[list[str]]:
+    """Replay every case of the golden file, flags before its argv; the
+    argv of each case whose exit code, stdout or digest differs."""
+    failed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in json.loads(GOLDEN.read_text()):
+            argv = case.pop("argv")
+            got = run_case(flags + argv, Path(tmp), "sha256" in case)
+            if got != case:
+                failed.append(argv)
+            print("ok" if got == case else "MISMATCH", got["code"], *flags, *argv, flush=True)
+    return failed
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--check"]:
+        sys.exit(bool(check(sys.argv[2:])))
     GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

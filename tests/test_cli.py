@@ -7,8 +7,7 @@ import pytest
 
 from circulant_ci.cli import _finish_reports, main
 from circulant_ci.engine import ClassificationReport
-from record_cli_golden import GOLDEN, run_case
-from record_sweep_digests import DIGESTS, sweep_digest
+from record_cli_golden import GOLDEN, argv_lists, check
 
 
 def run(capsys, *argv):
@@ -202,18 +201,23 @@ def test_unwritable_dump_keeps_exit_3(tmp_path, capsys):
     assert not path.exists()
 
 
-def test_output_matches_golden_bytes(tmp_path):
-    # every command under every --format, recorded by tests/record_cli_golden.py
+def test_output_matches_golden_bytes():
+    # every command under every --format, then the sweeps past that range by
+    # SHA-256, all recorded by tests/record_cli_golden.py: no case added
+    # without re-recording and no stale entry
+    assert [case["argv"] for case in json.loads(GOLDEN.read_text())] == argv_lists()
+    assert check([]) == []
+
+
+def test_check_names_each_mismatch(tmp_path, monkeypatch):
+    # one stdout byte and one digest hex digit changed in a copy: --check
+    # fails on exactly those two cases (the untouched file passes above)
     cases = json.loads(GOLDEN.read_text())
-    assert len(cases) == 96  # 32 commands, 3 formats each
-    for case in cases:
-        code, stdout = run_case(case["argv"], tmp_path)
-        assert (code, stdout) == (case["code"], case["stdout"]), case["argv"]
-
-
-def test_sweeps_match_recorded_digests():
-    # the sweeps past the golden range, recorded by tests/record_sweep_digests.py
-    cases = json.loads(DIGESTS.read_text())
-    assert len(cases) == 3
-    for case in cases:
-        assert sweep_digest(case["argv"]) == (case["code"], case["sha256"]), case["argv"]
+    byte_case, sweep_case = cases[0], cases[-1]
+    byte_case["stdout"] = "x" + byte_case["stdout"][1:]
+    digest = sweep_case["sha256"]
+    sweep_case["sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
+    copy = tmp_path / "cli_golden.json"
+    copy.write_text(json.dumps(cases))
+    monkeypatch.setattr("record_cli_golden.GOLDEN", copy)
+    assert check([]) == [byte_case["argv"], sweep_case["argv"]]
