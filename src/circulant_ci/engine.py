@@ -2,8 +2,10 @@
 
 Two circulants Cay(Z_n, S) and Cay(Z_n, T) are isomorphic exactly when their
 keys agree and some solving-set permutation of that key carries S onto T
-(Muzychuk's criterion).  The isomorphism scan drops a multiplier at the
-first member of S it maps outside T; each multiplier is a bijection, so
+(Muzychuk's criterion).  A multiplier maps S, a union of classes of its
+key, by one unit per gcd layer of S (multipliers states the lemma).  The
+isomorphism scan drops a multiplier at the first member of S it maps
+outside T; each multiplier is a bijection, so
 for |S| = |T| the first one kept is the witness, and sets of different
 sizes are settled before any scan.  CI testing scans the whole solving
 set: S is CI iff every image stays inside the unit orbit of S.  The scan

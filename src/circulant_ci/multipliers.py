@@ -11,12 +11,25 @@ The solving set of a key combines the per-prime genuine rows across the
 ascending primes of n; its induced permutations are exactly what the
 isomorphism criterion scans.  It holds nothing but those rows: the images
 the criterion scans are computed lazily, one multiplier at a time as the
-scan reaches it, from the digits of the members of S alone, and no table
-over Z_{p^t} or Z_n is built.  One per-multiplier loop, _mapped_into,
-computes each multiplier's images member by member and drops the
-multiplier at its first image outside a given set of residues:
-``first_into`` gives the target set, so a miss costs no full image, and
-``images`` gives all of Z_n and sorts each image.
+scan reaches it, and no table over Z_{p^t} or Z_n is built.
+
+The scan maps classes, one unit per gcd layer.  The members x of the
+layer D_d = {x : gcd(x, n) = d} share the order exponent a_p of their
+p-part, so they share the subgroup H_d with x + H_d the class of x under
+a key k (see keys).  Lemma: a genuine multiplier f with rows m maps
+x + H_d onto u x + H_d, for any unit u with u = m_{a_p} (mod p^t) at every
+p with a_p > 0.  Proof sketch: the digit x_i p^i of x's p-part,
+i >= t - a_p, picks up m_j with j = t - i <= a_p, and the congruence chain
+with the nondecreasing key row gives m_j = m_{a_p} (mod p^(j - k_{a_p})),
+so f(x) - u x is a multiple of p^(t - k_{a_p}) at every p, in H_d; as
+u H_d = H_d and f is a bijection, f(x + H_d) = u x + H_d.  So f(S) is the
+union of the u_d (S & D_d) for a union S of classes.  ``_layers`` groups
+the members by layer once per scan, and ``_mapped_into`` maps each by one
+multiplication and drops a multiplier at its first image outside a given
+set of residues, which is exact as u x lies in f(S): ``first_into`` gives
+the target set, so a miss costs no full image, and ``images`` gives all of
+Z_n and sorts each image.  ``as_permutation`` needs the element action,
+``_digit_terms``, as f(x) and u x differ by a member of H_d.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
 
 
 def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ...]]:
-    """The one statement of the multiplier action, as terms per member x.
+    """The one statement of the element action, as terms per member x.
 
     Row m of p^t acts on x through the digits x_i of x mod p^t, as
     sum m_{t-i} x_i p^i times the CRT idempotent e of p^t; the image of x
@@ -86,40 +99,87 @@ def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ..
     return list(zip(*[[x // q % p * q * e for x in members] for p, q, e in places]))
 
 
+def _layers(
+    members: Sequence[int], k: Key
+) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+    """The one statement of the class action: the members grouped by their
+    gcd with n, each layer with one pick (i, a - 1, e) per prime p^t at
+    which its order exponent a is non-zero: p's row index, the row entry
+    the layer's unit reads, and the CRT idempotent e of p^t.  The unit of
+    rows m is the sum of m[i][a - 1] * e over the picks, as the members'
+    parts at the other primes are 0.
+
+    Refuses members that are no union of classes of k: x + n / p^c must be
+    a member for each member x and prime p with k's entry c > 0 at the
+    order exponent of x's p-part.  With no such entry, as under the zero
+    key, no member set is built.
+    """
+    f = k.factorization
+    n = f.n
+    # keyed by the order n / gcd(x, n) of x, whose p-adic valuation is the
+    # order exponent of x's p-part
+    by_order: dict[int, list[int]] = {}
+    for x in members:
+        by_order.setdefault(n // math.gcd(x, n), []).append(x)
+    primes = tuple(enumerate(zip(f.parts, k.rows, f.idempotents)))
+    layers, steps = [], []
+    for order, xs in by_order.items():
+        picks = []
+        for i, ((p, _), row, e) in primes:
+            a = 0
+            while order % p == 0:
+                order //= p
+                a += 1
+            if a:
+                picks.append((i, a - 1, e))
+                if row[a - 1]:
+                    steps.append((xs, n // p ** row[a - 1]))
+        layers.append((xs, picks))
+    if steps:
+        inside = set(members)
+        if any((x + step) % n not in inside for xs, step in steps for x in xs):
+            raise DomainError("members must be a union of the key's classes")
+    return layers
+
+
 def _mapped_into(
     multipliers: Iterable[tuple[tuple[int, ...], ...]],
-    terms: list[tuple[int, ...]],
+    layers: list[tuple[list[int], list[tuple[int, int, int]]]],
     n: int,
     inside: bytes | bytearray,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
     """The one per-multiplier loop: each multiplier's rows, with its image
-    of every member in member order, from the members' ``_digit_terms``,
-    for every multiplier that maps each member inside, where ``inside`` is
-    a 0/1 mask over Z_n.
-
-    A multiplier is dropped at its first image y with inside[y] = 0, and
-    the images of a multiplier are computed only when the reader reaches
-    it.
+    of the members of the ``_layers`` given, one unit per layer and one
+    multiplication per member, for every multiplier that maps each member
+    inside, where ``inside`` is a 0/1 mask over Z_n.  A multiplier is
+    dropped at its first image y with inside[y] = 0, and its images are
+    computed only when the reader reaches it.
     """
     for rows in multipliers:
-        entries = sum(rows, ())
         kept = []
-        for xt in terms:
-            y = sum(map(mul, entries, xt)) % n
-            if not inside[y]:
-                break
-            kept.append(y)
+        for xs, picks in layers:
+            u = 0
+            for i, j, e in picks:
+                u += rows[i][j] * e
+            for x in xs:
+                y = u * x % n
+                if not inside[y]:
+                    break
+                kept.append(y)
+            else:
+                continue
+            break
         else:
             yield rows, kept
 
 
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
-    """The full image table of the induced permutation of Z_n."""
+    """The full image table of the induced permutation of Z_n, element by
+    element from the ``_digit_terms`` of every residue."""
     f = m.key.factorization
-    ((_, image),) = _mapped_into(
-        (m.rows,), _digit_terms(range(f.n), f), f.n, b"\1" * f.n
-    )
-    return tuple(image)
+    entries = sum(m.rows, ())
+    terms = _digit_terms(range(f.n), f)
+    return tuple(sum(map(mul, entries, xt)) % f.n for xt in terms)
 
 
 # Genuine-row lists kept at once, one per (key row, p, t).
@@ -153,10 +213,11 @@ class SolvingSet:
 
     Holds only the per-prime genuine rows.  Iteration walks their cartesian
     product in ascending-prime, lexicographic order and is repeatable.
-    ``images`` maps a member tuple through the same product in the same
-    order, lazily, acting on the members' p-adic digits alone: no
-    permutation of Z_n and no table over Z_{p^t} is built, and a scan that
-    stops early computes no image past the multiplier it stops at.
+    ``images`` and ``first_into`` map a union of classes of the key through
+    the same product in the same order, lazily, by one unit per gcd layer
+    of the members (the lemma in the module docstring): no permutation of
+    Z_n and no table over Z_{p^t} is built, and a scan that stops early
+    computes no image past the multiplier it stops at.
     """
 
     def __init__(self, key: Key):
@@ -179,15 +240,18 @@ class SolvingSet:
     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """(rows, sorted image of members) per multiplier, in iteration order.
 
-        The terms ``_digit_terms`` states are computed once per call, and a
-        multiplier's images only when the scan reaches it.  Every image
-        lies in Z_n, so no multiplier is dropped.
+        The members must be a union of classes of the key; ``_layers``
+        groups them once per call, at the call, and a multiplier's images
+        are computed only when the scan reaches it.  Every image lies in
+        Z_n, so no multiplier is dropped.
         """
-        f = self.key.factorization
-        for rows, image in _mapped_into(
-            product(*self._rows), _digit_terms(members, f), f.n, b"\1" * f.n
-        ):
-            yield rows, tuple(sorted(image))
+        n = self.key.factorization.n
+        return (
+            (rows, tuple(sorted(image)))
+            for rows, image in _mapped_into(
+                product(*self._rows), _layers(members, self.key), n, b"\1" * n
+            )
+        )
 
     def first_into(
         self, members: tuple[int, ...], target: tuple[int, ...]
@@ -195,20 +259,21 @@ class SolvingSet:
         """(rows, sorted image of members) of the first multiplier, in
         iteration order, that maps every member into target, or None.
 
-        A multiplier is dropped at the first member whose image falls
-        outside target, so a miss costs no full image and no sort.  The
+        The members must be a union of classes of the key.  A multiplier is
+        dropped at the first member whose image falls outside target, so a
+        miss costs no full image and no sort; that is exact, since each
+        image u * x lies in the multiplier's image of the members.  The
         images read are kept, so the hit's image is complete when the scan
         stops.  Each multiplier is a bijection of Z_n, so when target is as
         large as members the hit maps members onto target; the caller
         compares the returned image with target to confirm it.
         """
-        f = self.key.factorization
-        inside = bytearray(f.n)
+        layers = _layers(members, self.key)
+        n = self.key.factorization.n
+        inside = bytearray(n)
         for y in target:
             inside[y] = 1
-        for rows, image in _mapped_into(
-            product(*self._rows), _digit_terms(members, f), f.n, inside
-        ):
+        for rows, image in _mapped_into(product(*self._rows), layers, n, inside):
             return rows, tuple(sorted(image))
         return None
 

@@ -11,7 +11,10 @@ The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
-multiplier action with its own CRT recombination, the oracle's search
+multiplier action with its own CRT recombination, the element action's
+images of a set under a whole solving set, with CRT idempotents found by
+search, which the CI and isomorphism scan references read in place of the
+library's layer units, the oracle's search
 over neighbour lists read one index at a time, with its signatures of
 sorted neighbour colour tuples, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
@@ -34,6 +37,7 @@ import time
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, islice, product
+from operator import mul
 
 from circulant_ci import cayley
 from circulant_ci.cayley import (
@@ -404,8 +408,8 @@ def multiplier_action_reference(rows, n: int) -> tuple[int, ...]:
     prime power p^t of n, by the digit loop: the digit x_i of x mod p^t
     picks up the factor m_{t-i}, mod p^t.  Any rows of length t act, genuine
     or not.  The images mod the p^t are joined by Garner's recombination,
-    which reads no CRT idempotent, so a fault in the library's terms cannot
-    hide on both sides of check_multiplier_action."""
+    which reads no CRT idempotent, so a fault in the library's terms or
+    layer units cannot hide on both sides of check_multiplier_action."""
     parts = factorize(n).parts
     assert len(rows) == len(parts) and all(
         len(row) == t for row, (_, t) in zip(rows, parts)
@@ -429,6 +433,28 @@ def multiplier_action_reference(rows, n: int) -> tuple[int, ...]:
             y += below * ((image - y) * inverse % q)
         table.append(y)
     return tuple(table)
+
+
+def solving_set_images_reference(members: tuple[int, ...], k: Key):
+    """(rows, sorted image of members) per multiplier of the solving set of
+    k, in iteration order, by the element action: the image of x is the sum
+    of the multiplier's row entries times the terms x_i p^i e of x, mod n,
+    entry a of the row of p^t scaling the digit i = t - 1 - a and e the CRT
+    idempotent of p^t, found here by search.  The terms of each member are
+    computed once; the library's scan takes one unit per layer instead."""
+    f = k.factorization
+    n = f.n
+    columns = []
+    for p, t in f.parts:
+        q = p**t
+        e = next(e for e in range(0, n, n // q) if e % q == 1)
+        columns += [
+            [x // p**i % p * p**i * e for x in members] for i in reversed(range(t))
+        ]
+    terms = list(zip(*columns))
+    for m in solving_set(k):
+        entries = sum(m.rows, ())
+        yield m.rows, tuple(sorted(sum(map(mul, entries, xt)) % n for xt in terms))
 
 
 def check_multiplier_action(n_max: int = 72) -> int:
@@ -881,11 +907,13 @@ def ci_scan_reference(s: ConnectionSet) -> CiVerdict:
     """The CI scan with the whole unit orbit listed first: S is CI iff every
     solving-set image lies in {uS : u a unit}, and the witness is the first
     image outside it, in enumeration order.  The orbit is built here rather
-    than by orbit_members, which shares the library's unit action."""
+    than by orbit_members, which shares the library's unit action, and the
+    images come from solving_set_images_reference rather than from the
+    library's scan."""
     if not s.members:
         return CiVerdict(True)
     orbit = {tuple(sorted(u * x % s.n for x in s.members)) for u in units(s.n)}
-    for _, image in solving_set(key_of_set(s)).images(s.members):
+    for _, image in solving_set_images_reference(s.members, key_of_set(s)):
         if image not in orbit:
             return CiVerdict(False, ConnectionSet(s.n, image, s.mode))
     return CiVerdict(True)
@@ -923,7 +951,9 @@ def iso_scan_reference(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     the sorted image of S under every multiplier of the solving set, in
     enumeration order, is compared with T, and the first equal one is the
     witness.  Sets of different sizes are told apart only by exhausting
-    the solving set."""
+    the solving set.  The images come from solving_set_images_reference, so
+    the early drop of SolvingSet.first_into is checked against images it
+    does not compute."""
     if not (s.members and t.members):
         if s.members or t.members:
             return IsoVerdict(False, "key-mismatch")
@@ -932,7 +962,7 @@ def iso_scan_reference(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     ks = key_of_set(s)
     if ks != key_of_set(t):
         return IsoVerdict(False, "key-mismatch")
-    for rows, image in solving_set(ks).images(s.members):
+    for rows, image in solving_set_images_reference(s.members, ks):
         if image == t.members:
             return IsoVerdict(True, "multiplier-found", GenuineMultiplier(rows, ks))
     return IsoVerdict(False, "exhausted")
@@ -1025,14 +1055,16 @@ CI_CHECKS = (
         (72, 4, 8), (144, 3, 6), (200, 3, 6), (216, 3, 6), (225, 3, 6),
         (288, 2, 4), (360, 2, 4), (400, 2, 4), (441, 2, 4),
     )}, 300),
-    # every orbit representative with n <= 20 in both modes, about 40 s
+    # every orbit representative with n <= 20 in both modes and the seeded
+    # coset unions: 119 300 sets, the reference's images by digit terms, in
+    # about 45 s
     ("check_ci_scan_against_reference", {"n_max": 20}, 300),
-    # about 220 000 pairs in about 20 s
+    # 220 008 pairs, the reference's images by digit terms, in about 25 s
     ("check_iso_scan_against_reference", {"n_max": 12}, 120),
     # every m for n <= 20 in both modes, then graph every m and digraph
     # m <= 5 up to n = 30: 675 cells in about 30 s
     ("check_orbit_filter", {"n_max": 20, "wide_n_max": 30, "wide_m_max": 5}, 300),
-    # every key with n <= 128: 26 045 multipliers in about 25 s
+    # every key with n <= 128: 26 045 multipliers in about 16 s
     ("check_multiplier_action", {"n_max": 128}, 300),
     # up to the oracle cutoff: 35 182 pairs in about 55 s
     ("check_oracle_against_backtracking", {"n_max": 12}, 300),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from checks import out_neighbours
+from circulant_ci import cayley
 from circulant_ci.cayley import (
     ConnectionSet,
     OracleCutoffError,
@@ -148,6 +149,23 @@ def test_oracle_refutes_before_any_round(monkeypatch):
     assert brute_force_isomorphism(a, build_cayley(ConnectionSet(7, (1, 2)))) is None
     with pytest.raises(AssertionError, match="round ran"):
         brute_force_isomorphism(a, a)
+
+
+def test_oracle_tries_the_next_candidate(monkeypatch):
+    # on the cycle C8 the first candidate always extends, so the loop over
+    # candidates is reached only by failing that branch: the second round,
+    # the first branch's, is made to refute once, and the search must go on
+    # to the second candidate, which maps the cycle onto its reflection
+    refine, calls = cayley._joint_refinement, []
+
+    def refute_first_branch(*args):
+        calls.append(None)
+        return None if len(calls) == 2 else refine(*args)
+
+    monkeypatch.setattr(cayley, "_joint_refinement", refute_first_branch)
+    c8 = build_cayley(ConnectionSet(8, (1, 7), "graph"))
+    assert brute_force_isomorphism(c8, c8) == (0, 7, 6, 5, 4, 3, 2, 1)
+    assert len(calls) > 2
 
 
 def test_oracle_maps_empty_set_by_identity():

@@ -181,3 +181,23 @@ def test_key_preservation_exhaustive_small_n():
                 for perm in perms_for(k):
                     image = tuple(sorted(perm[x] for x in members))
                     assert key_of(image) == k, (n, members, image)
+
+
+def test_scan_takes_unions_of_classes_only():
+    # key (0, 1) of Z_9: the classes are {0}, {3}, {6}, {1, 4, 7}, {2, 5, 8};
+    # the scan maps a class by one unit per gcd layer, which is its image
+    # only for whole classes
+    k = Key(factorize(9), ((0, 1),))
+    ss = solving_set(k)
+    with pytest.raises(DomainError, match="union of the key's classes"):
+        ss.images((1, 4))
+    with pytest.raises(DomainError, match="union of the key's classes"):
+        ss.first_into((1, 4), (2, 5))
+    accepted = (0, 1, 4, 7)
+    expected = [
+        tuple(sorted(multiplier_action_reference(m.rows, 9)[x] for x in accepted))
+        for m in ss
+    ]
+    assert [image for _, image in ss.images(accepted)] == expected
+    assert expected == [(0, 1, 4, 7), (0, 2, 5, 8)] * 2
+    assert ss.first_into(accepted, (0, 2, 5, 8)) == (((1, 2),), (0, 2, 5, 8))

@@ -277,15 +277,33 @@ def test_unit_action_stated_once():
 
 
 def test_multiplier_action_stated_once():
-    # multipliers._digit_terms is the one code outside zn that reads the CRT
-    # idempotents, so the solving-set scan and as_permutation share its terms
-    reads = [
-        (path.stem, scope, line)
+    # outside zn, the CRT idempotents are read by two codes only: the element
+    # action, multipliers._digit_terms, which as_permutation uses, and the
+    # class action, multipliers._layers, which the solving-set scan uses
+    reads = {
+        (path.stem, scope)
         for path, tree in _trees()
         if path.stem != "zn"
-        for scope, line in _attribute_reads(tree, "idempotents")
-    ]
-    assert reads and all(r[:2] == ("multipliers", "_digit_terms") for r in reads), reads
+        for scope, _ in _attribute_reads(tree, "idempotents")
+    }
+    assert reads == {("multipliers", "_digit_terms"), ("multipliers", "_layers")}, reads
+    users = {
+        name: {
+            (path.stem, scope)
+            for path, tree in _trees()
+            for scope, _ in _scoped(
+                tree, lambda node: isinstance(node, ast.Call) and _decorator_name(node) == name
+            )
+        }
+        for name in ("_digit_terms", "_layers")
+    }
+    assert users == {
+        "_digit_terms": {("multipliers", "as_permutation")},
+        "_layers": {
+            ("multipliers", "SolvingSet.images"),
+            ("multipliers", "SolvingSet.first_into"),
+        },
+    }, users
 
 
 # the message of each input check, and the one function that raises it
@@ -294,6 +312,7 @@ INPUT_CHECKS = {
     "mode must be one of": ("cayley", "_check_mode"),
     "rows must be a tuple of tuples": ("keys", "_check_rows"),
     "live over different Z_n": ("cayley", "_check_pair"),
+    "union of the key's classes": ("multipliers", "_layers"),
 }
 
 
