@@ -205,19 +205,28 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
 
 def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
     # is_ci_reduced for a non-empty S whose key k is already known; <S> is
-    # the subgroup of index g
+    # the subgroup of index g.  S/g has the key k with each row cut to its
+    # first t' entries, p^t' || n/g: x = gy has the order exponent at p of y,
+    # and for v < j <= t' the step n/p^v is g (n/g)/p^v, so x -> x/g maps the
+    # tests of S for j <= t' one to one onto those of S/g that is_ci(S/g) runs
     g = math.gcd(s.n, *s.members)
     if g == 1:
         return _is_ci(s, k)
     n_sub = s.n // g
     reduced = ConnectionSet(n_sub, tuple(sorted(x // g for x in s.members)), s.mode)
-    verdict = is_ci(reduced)
+    verdict = _is_ci(reduced, _reduced_key(k, n_sub))
     if verdict.is_ci:
         return CiVerdict(True, None, "reduction")
     lifted = _mate(s, _lift(verdict.witness.members, s.n, n_sub), k)
     if lifted.members in orbit_members(s.members, s.n):
         raise InternalConsistencyError("lifted witness fell inside the unit orbit")
     return CiVerdict(False, lifted, "reduction")
+
+
+def _reduced_key(k: Key, n_sub: int) -> Key:
+    rows = {p: row for (p, _), row in zip(k.factorization.parts, k.rows)}
+    f = factorize(n_sub)
+    return Key(f, tuple(rows[p][:t] for p, t in f.parts))
 
 
 def _double_coset(members: set[int], n: int) -> tuple[tuple[int, ...], int] | None:
@@ -309,10 +318,14 @@ def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]
 def _orbit_least(tuples: Iterable[tuple[int, ...]], n: int) -> tuple[tuple[int, ...], ...]:
     # the tuples that are lexicographically least in their unit orbit,
     # each once, ascending: no multiple uS is smaller (u = 1 yields S
-    # itself, at no cost, and all stops at the first smaller multiple)
+    # itself, at no cost, and all stops at the first smaller multiple).  A
+    # unit keeps gcd(x, n), which is at most x, and some unit takes x to it,
+    # so the least multiple starts with the least gcd(x, n) over S; a tuple
+    # that does not is dropped before any multiple is listed
     return tuple(sorted({
         mem for mem in tuples
-        if all(multiple >= mem for multiple in _unit_multiples(mem, n))
+        if mem[0] == min(map(math.gcd, mem, repeat(n)))
+        and all(multiple >= mem for multiple in _unit_multiples(mem, n))
     }))
 
 

@@ -27,6 +27,13 @@ permutes the residues with a >= j, so keeping their part of S inside S
 keeps their part of the complement inside the complement too.  The test
 weakens as v falls and as j rises, so each row is found by stepping v up
 while it holds, and no key partition is built.
+
+Each test is one integer operation on the mask M of S (bit x per member x),
+built only when some t >= 2, so a squarefree n builds none.  Exponent a >= j
+means p^(t-j+1) does not divide x, so the members moved at level j are M
+minus the multiples of p^(t-j+1), a mask of doubling shifts, and the test
+reads moved & ~_less(M, step) == 0, _less being the one rotation: O(t n / 64)
+word operations, whatever |S|.
 """
 
 from __future__ import annotations
@@ -119,6 +126,20 @@ def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
     return tuple(classes)
 
 
+def _multiples(d: int, n: int, full: int) -> int:
+    # the mask of the multiples of d in Z_n (d | n), by doubling shifts
+    mask, span = 1, d
+    while span < n:
+        mask |= mask << span
+        span *= 2
+    return mask & full
+
+
+def _less(mask: int, step: int, n: int, full: int) -> int:
+    # the mask of S - step = {x : x + step in S}, for S the mask of Z_n
+    return (mask >> step) | ((mask << (n - step)) & full)
+
+
 def key_of_set(s: ConnectionSet) -> Key:
     """The coarsest key whose partition refines {S, Z_n minus S}, found row
     by row by the stabilizer test on the members of S (see the module
@@ -126,41 +147,37 @@ def key_of_set(s: ConnectionSet) -> Key:
 
     Takes a ConnectionSet, whose constructor has checked n and the members;
     S must be non-empty (it excludes 0), so the complement is never empty.
-    The result is checked against its definition: for every member x and
-    prime p with entry k > 0 at the order exponent of x, x + n / p^k lies
-    in S, which is exactly "the key partition refines {S, complement}".
+    The result is checked against its definition: for every exponent class
+    a (the members moved at level a, not at a + 1) whose entry k is
+    non-zero, x + n / p^k lies in S for each x of the class, which is
+    exactly "the key partition refines {S, complement}".
     """
     if not isinstance(s, ConnectionSet):
         raise DomainError(f"key_of_set takes a ConnectionSet, not {type(s).__name__}")
     members, n = s.members, s.n
     if not members:
         raise DomainError("key of the empty set is undefined")
-    inside = bytearray(n)
-    for x in members:
-        inside[x] = 1
     f = factorize(n)
+    mask = None
     rows = []
     for p, t in f.parts:
         if t == 1:
             # 0 <= k_1 < 1: the row of p is (0,), and no member moves
             rows.append((0,))
             continue
-        q = p**t
-        exponents = [order_exponent(x % q, p, t) for x in members]
-        row = [0] * t
-        v = 0
-        for j in range(2, t + 1):
-            moved = [x for x, a in zip(members, exponents) if a >= j]
-            while v + 1 < j:
-                step = n // p ** (v + 1)
-                if not all(inside[(x + step) % n] for x in moved):
-                    break
+        if mask is None:
+            full, digits = (1 << n) - 1, bytearray(b"0") * n
+            for x in members:
+                digits[n - 1 - x] = 49  # the digit 1, at bit x
+            mask = int(digits, 2)
+        moved = [mask & ~_multiples(p ** (t + 1 - j), n, full) for j in range(2, t + 1)]
+        row, v = [0], 0  # moved[j - 2] is moved at level j
+        for j, here in enumerate(moved, start=2):
+            while v + 1 < j and not here & ~_less(mask, n // p ** (v + 1), n, full):
                 v += 1
-            row[j - 1] = v
-        for x, a in zip(members, exponents):
-            if a and row[a - 1] and not inside[(x + n // p ** row[a - 1]) % n]:
-                raise InternalConsistencyError(
-                    "key partition does not refine {S, complement}"
-                )
+            row.append(v)
+        for k, here, above in zip(row[1:], moved, moved[1:] + [0]):
+            if k and here & ~above & ~_less(mask, n // p**k, n, full):
+                raise InternalConsistencyError("key partition does not refine {S, complement}")
         rows.append(tuple(row))
     return Key(f, tuple(rows))

@@ -9,7 +9,8 @@ widths; CI_CHECKS at the end holds the wider CI runs, and
 
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
-class tuples, the lattice join as the key of such a partition, the
+class tuples, the lattice join as the key of such a partition, the key of
+a set by the stabilizer test read one member at a time, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
 multiplier action with its own CRT recombination, the element action's
 images of a set under a whole solving set, with CRT idempotents found by
@@ -36,10 +37,10 @@ import signal
 import time
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, islice, product
+from itertools import chain, combinations, combinations_with_replacement, islice, product
 from operator import mul
 
-from circulant_ci import cayley
+from circulant_ci import cayley, engine
 from circulant_ci.cayley import (
     MODES,
     CayleyDigraph,
@@ -73,7 +74,14 @@ from circulant_ci.multipliers import (
     as_permutation,
     solving_set,
 )
-from circulant_ci.zn import DomainError, Factorization, _check_residue, factorize, units
+from circulant_ci.zn import (
+    DomainError,
+    Factorization,
+    _check_residue,
+    factorize,
+    order_exponent,
+    units,
+)
 
 SEED = 20250810
 PAIR_SAMPLE_LIMIT = 1500
@@ -95,6 +103,17 @@ ISO_IMAGES_PER_SET = 6
 GENUINE_PRIME_POWERS = (
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)
 )
+
+
+# moduli of the seeded coset unions compared with key_of_set_reference, past
+# COSET_UNION_MODULI up to n = 1024
+REFERENCE_MODULI = COSET_UNION_MODULI + (384, 432, 512, 576, 648, 729, 864, 1000, 1024)
+# moduli of 2^20, 10^6 and 3^12 residues, where key_of_set's masks are
+# largest, with seeded unions of cosets of subgroups of order at most
+# LARGE_MAX_ORDER there
+LARGE_MODULI = (2**20, 10**6, 3**12)
+LARGE_SETS_PER_MODULUS = 4
+LARGE_MAX_ORDER = 64
 
 
 # moduli with two prime-power parts that can force a scan (2^t with t >= 3,
@@ -363,10 +382,11 @@ def _two_classes(n: int, members) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(inside)), tuple(x for x in range(n) if x not in inside)
 
 
-def _coset_union(rng: random.Random, n: int) -> ConnectionSet:
-    """Cosets of up to three subgroups of Z_n, plus a stray residue three
-    times in ten: sets whose keys are far from zero."""
-    orders = [d for d in range(1, n) if n % d == 0]
+def _coset_union(rng: random.Random, n: int, max_order: int | None = None) -> ConnectionSet:
+    """Cosets of up to three subgroups of Z_n, of order at most max_order
+    if given, plus a stray residue three times in ten: sets whose keys are
+    far from zero."""
+    orders = [d for d in range(1, min(n, (max_order or n) + 1)) if n % d == 0]
     members = set()
     for _ in range(rng.randint(1, 3)):
         step = n // rng.choice(orders)
@@ -589,6 +609,39 @@ def check_criterion_against_oracle(n_max: int = 11) -> int:
     return checked
 
 
+def key_of_set_reference(s: ConnectionSet) -> Key:
+    """The key of S by the stabilizer test read one member at a time: per
+    prime power p^t, the order exponent of each member's p-part, and entry
+    (p, j) the largest v < j such that x + n / p^v lies in S for every
+    member x with exponent >= j, over a byte table of S.  The reference for
+    key_of_set, which runs the same tests as integer masks."""
+    members, n = s.members, s.n
+    assert members, "key of the empty set is undefined"
+    inside = bytearray(n)
+    for x in members:
+        inside[x] = 1
+    f = factorize(n)
+    rows = []
+    for p, t in f.parts:
+        q = p**t
+        exponents = [order_exponent(x % q, p, t) for x in members]
+        row = [0] * t
+        v = 0
+        for j in range(2, t + 1):
+            moved = [x for x, a in zip(members, exponents) if a >= j]
+            while v + 1 < j:
+                step = n // p ** (v + 1)
+                if not all(inside[(x + step) % n] for x in moved):
+                    break
+                v += 1
+            row[j - 1] = v
+        for x, a in zip(members, exponents):
+            if a and row[a - 1]:
+                assert inside[(x + n // p ** row[a - 1]) % n], (n, members, p)
+        rows.append(tuple(row))
+    return Key(f, tuple(rows))
+
+
 def check_key_against_lattice(n_max: int = 16) -> int:
     """key_of_set equals the lattice join on every digraph subset for
     n <= n_max and on seeded coset unions up to n = 256."""
@@ -606,6 +659,55 @@ def check_key_against_lattice(n_max: int = 16) -> int:
             expected = lattice_key_of_partition(n, _two_classes(n, s.members))
             assert key_of_set(s) == expected, (n, s.members)
             checked += 1
+    return checked
+
+
+def check_key_against_reference(n_max: int = 16) -> int:
+    """key_of_set equals key_of_set_reference on every digraph subset for
+    n <= n_max, on seeded coset unions at the REFERENCE_MODULI up to
+    n = 1024, and on seeded unions of small cosets at the LARGE_MODULI."""
+    rng = random.Random(SEED)
+    cases = chain(
+        (
+            ConnectionSet(n, members)
+            for n in range(2, n_max + 1)
+            for size in range(1, n)
+            for members in combinations(range(1, n), size)
+        ),
+        (_coset_union(rng, n) for n in REFERENCE_MODULI for _ in range(COSET_UNIONS_PER_MODULUS)),
+        (
+            _coset_union(rng, n, LARGE_MAX_ORDER)
+            for n in LARGE_MODULI
+            for _ in range(LARGE_SETS_PER_MODULUS)
+        ),
+    )
+    checked = 0
+    for s in cases:
+        assert key_of_set(s) == key_of_set_reference(s), (s.n, s.members)
+        checked += 1
+    return checked
+
+
+def check_reduced_key(n_max: int = 48, m_max: int = 4) -> int:
+    """The key of S/g in Z_{n/g}, for g = gcd(n, S) > 1, as engine's
+    reduction reads it off the key of S, equals key_of_set(S/g), on every
+    subset S of size at most m_max of a proper subgroup of Z_n, n <= n_max:
+    the subsets of the multiples of each prime p of n whose least common
+    prime with n is p."""
+    checked = 0
+    for n in range(2, n_max + 1):
+        primes = [p for p, _ in factorize(n).parts]
+        for p in primes:
+            for size in range(1, m_max + 1):
+                for members in combinations(range(p, n, p), size):
+                    g = math.gcd(n, *members)
+                    if next(q for q in primes if g % q == 0) != p:
+                        continue
+                    s = ConnectionSet(n, members)
+                    reduced = ConnectionSet(n // g, tuple(x // g for x in members))
+                    truncated = engine._reduced_key(key_of_set(s), n // g)
+                    assert truncated == key_of_set(reduced), (n, members)
+                    checked += 1
     return checked
 
 
@@ -1074,6 +1176,13 @@ CI_CHECKS = (
     ("check_criterion_against_oracle", {"n_max": 12}, 15),
     # 1 048 699 subsets in 32.9 s
     ("check_key_against_lattice", {"n_max": 20}, 120),
+    # every subset with n <= 20 and the seeded unions: 1 048 819 sets in
+    # about 32 s.  n = 21, 22 and 23 are squarefree or prime, where no mask
+    # is built, and the 2^23 subsets of Z_24 alone would take about 4 min
+    ("check_key_against_reference", {"n_max": 20}, 120),
+    # every set of size <= 4 inside a proper subgroup, n <= 72: 501 552
+    # sets in about 16 s
+    ("check_reduced_key", {"n_max": 72, "m_max": 4}, 120),
     # every n <= 3 000 in both modes: 1 927 families in about 18 s
     ("check_witness_boundary", {"n_max": 3000}, 120),
 )

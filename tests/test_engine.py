@@ -150,6 +150,7 @@ def test_decide_ci_tags():
 @pytest.mark.parametrize("n, members, fast_path", [
     (8, (1, 2, 5), "none"),  # full scan of S itself
     (16, (2, 4, 10), "reduction"),  # decided in <S>, witness lifted back
+    (8, (2, 4), "reduction"),  # CI in <S>, with {1, 2}'s key read off S's
 ])
 def test_decide_ci_computes_the_key_of_s_once(monkeypatch, n, members, fast_path):
     s = _cs(n, members)
@@ -161,8 +162,12 @@ def test_decide_ci_computes_the_key_of_s_once(monkeypatch, n, members, fast_path
 
     monkeypatch.setattr(engine, "key_of_set", counting_key_of_set)
     v = decide_ci(s)
-    assert not v.is_ci and v.fast_path == fast_path
-    assert calls.count(s) == 1
+    assert v.fast_path == fast_path and v.is_ci == (members == (2, 4))
+    # no key for the reduced set: S's, then one per witness mate checked to
+    # keep the key, the scan's and, after a reduction, the lifted one
+    mates = 0 if v.is_ci else 1 + (fast_path == "reduction")
+    assert calls[0] == s and len(calls) == 1 + mates
+    assert v.is_ci or calls[-1] == v.witness
 
 
 @pytest.mark.parametrize("lifted, message", [

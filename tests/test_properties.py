@@ -13,6 +13,8 @@ import checks
 
 TIER1_CHECKS = (
     "check_key_against_lattice",
+    "check_key_against_reference",
+    "check_reduced_key",
     "check_genuine_rows_against_reference",
     "check_oracle_against_backtracking",
     "check_signature_order",
