@@ -16,7 +16,6 @@ from .cayley import (
 from .engine import (
     CiVerdict,
     ClassificationReport,
-    CosetCase,
     DisagreementError,
     IsoVerdict,
     WitnessFamily,
@@ -32,7 +31,6 @@ from .engine import (
     predicate_dci_group,
     predicate_mci,
     predicate_mdci,
-    recognize_coset_case,
     verify_theorems,
     witnesses,
 )
@@ -53,7 +51,6 @@ from .zn import (
     Factorization,
     InternalConsistencyError,
     factorize,
-    subgroup_of_order,
     units,
 )
 
@@ -64,7 +61,6 @@ __all__ = [
     "CiVerdict",
     "ClassificationReport",
     "ConnectionSet",
-    "CosetCase",
     "DisagreementError",
     "DomainError",
     "Factorization",
@@ -95,9 +91,7 @@ __all__ = [
     "predicate_dci_group",
     "predicate_mci",
     "predicate_mdci",
-    "recognize_coset_case",
     "solving_set",
-    "subgroup_of_order",
     "units",
     "verify_theorems",
     "witnesses",

@@ -15,9 +15,10 @@ keep one set per orbit, the one no multiple uS undercuts, and both take
 the multiples from cayley._unit_multiples, the one statement of the unit
 action.
 
-On top of the single-set decision sit the exhaustive valency sweeps, the
-closed-form classification predicates they are checked against, the coset
-shaped fast paths, and the explicit non-CI witness families.  A sweep makes
+decide_ci answers in three stages: the zero key, the single coset, and the
+reduction to the generated subgroup <S>.  On top of it sit the exhaustive
+valency sweeps, the closed-form classification predicates they are checked
+against, and the explicit non-CI witness families.  A sweep makes
 one pass per modulus n over the valencies 1, 2, ..., stopping at the first
 that fails, and reads the report of every m of n off that pass.  Each
 valency visits only the sets whose key is neither zero nor almost zero,
@@ -46,8 +47,6 @@ from .zn import (
     InternalConsistencyError,
     _check_modulus,
     factorize,
-    is_prime,
-    subgroup_of_order,
 )
 
 
@@ -63,13 +62,6 @@ class IsoVerdict(
 class CiVerdict(namedtuple("CiVerdict", "is_ci witness fast_path", defaults=(None, "none"))):
     """Outcome of a CI decision; non-CI verdicts carry an isomorphic mate
     outside the unit orbit."""
-
-    __slots__ = ()
-
-
-class CosetCase(namedtuple("CosetCase", "case subgroup shift")):
-    """A recognized subgroup-coset shape with a CI fast conclusion;
-    ``case`` is "i", "ii" or "iii"."""
 
     __slots__ = ()
 
@@ -229,63 +221,17 @@ def _reduced_key(k: Key, n_sub: int) -> Key:
     return Key(f, tuple(rows[p][:t] for p, t in f.parts))
 
 
-def _double_coset(members: set[int], n: int) -> tuple[tuple[int, ...], int] | None:
-    # (P + s) | (P - s) for the subgroup P of odd prime order p, P+s != P-s
-    size = len(members)
-    if size % 2:
-        return None
-    p = size // 2
-    if p < 3 or not is_prime(p) or n % p:
-        return None
-    sub = subgroup_of_order(n, p)
-    shift = min(members)
-    plus = {(x + shift) % n for x in sub}
-    minus = {(x - shift) % n for x in sub}
-    if plus != minus and plus | minus == members:
-        return sub, shift
-    return None
-
-
-def recognize_coset_case(s: ConnectionSet) -> CosetCase | None:
-    """Match S against the coset shapes that are CI by construction.
-
-    (i)   S = H + s for a subgroup H (any single coset avoiding 0);
-    (ii)  S = (P + s) | (P - s) for P of odd prime order, P+s != P-s;
-    (iii) shape (ii) plus {n/2}, additionally requiring p^2 | n and
-          <S> = Z_n, without which the conclusion is not available and the
-          recognizer falls through.
-    """
-    n = s.n
-    members = set(s.members)
-    size = len(members)
-    if size == 0:
-        return None
-    if n % size == 0:
-        sub = subgroup_of_order(n, size)
-        shift = min(members)
-        if {(x + shift) % n for x in sub} == members:
-            return CosetCase("i", sub, shift)
-    found = _double_coset(members, n)
-    if found:
-        return CosetCase("ii", *found)
-    if n % 2 == 0 and n // 2 in members:
-        found = _double_coset(members - {n // 2}, n)
-        if found:
-            sub, shift = found
-            p = len(sub)
-            if n % (p * p) == 0 and math.gcd(n, *s.members) == 1:
-                return CosetCase("iii", sub, shift)
-    return None
-
-
 def decide_ci(s: ConnectionSet) -> CiVerdict:
-    """CI decision pipeline: zero-key shortcut, coset shapes, then the
-    reduction to the generated subgroup with a full scan.  The key of S is
-    computed once and shared by every stage.
+    """CI decision in three stages: the zero key, the single coset, then
+    the reduction to the generated subgroup with a full scan.  The key of S
+    is computed once and shared by every stage.
 
     The zero key, and the almost zero key when n = 4 (mod 8), decide CI
     without a scan: their solving sets act as Aut(Z_n), so every isomorphic
-    mate is already a unit multiple.
+    mate is already a unit multiple.  When |S| divides n and every member
+    of S has one residue mod n/|S|, S fills a coset of the subgroup of
+    order |S|, and 0 not in S keeps it off the subgroup: a single coset
+    avoiding 0, which is CI.
     """
     if not s.members:
         return CiVerdict(True)
@@ -295,9 +241,9 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     parts = k.factorization.parts
     if not any(row[-1] for (p, t), row in zip(parts, k.rows) if _scans(p, t)):
         return CiVerdict(True, None, "zero-key")
-    case = recognize_coset_case(s)
-    if case is not None:
-        return CiVerdict(True, None, f"coset-case-{case.case}")
+    size = len(s.members)
+    if s.n % size == 0 and len({x % (s.n // size) for x in s.members}) == 1:
+        return CiVerdict(True, None, "coset-case-i")
     return _is_ci_reduced(s, k)
 
 

@@ -131,10 +131,3 @@ def units(n: int) -> tuple[int, ...]:
     _check_modulus(n)
     return tuple(u for u in range(1, n) if math.gcd(u, n) == 1)
 
-
-def subgroup_of_order(n: int, d: int) -> tuple[int, ...]:
-    """The unique subgroup of Z_n of order d: the multiples of n/d."""
-    _check_modulus(n)
-    if d < 1 or n % d != 0:
-        raise DomainError(f"{d} does not divide {n}")
-    return tuple(range(0, n, n // d))

@@ -24,8 +24,9 @@ by combinations of residues or of pairs {x, -x}, the sweep's old
 enumeration (every orbit representative, filtered by its key), the CI
 scan that lists the whole unit orbit before it looks at an image, the
 isomorphism scan that compares the full sorted image of S under every
-multiplier with T, the subgroup <S> as the multiples of a gcd, and the
-almost zero key that _ci_keys states apart from the engine's own test.
+multiplier with T, the subgroup <S> as the multiples of a gcd, the
+subgroup of a given order as the multiples of n/d, and the almost zero
+key that _ci_keys states apart from the engine's own test.
 The library's decision path uses none of them.
 """
 
@@ -60,6 +61,7 @@ from circulant_ci.engine import (
     connection_set_tuples,
     is_ci,
     is_ci_reduced,
+    is_m_group,
     isomorphism_class,
     muzychuk_isomorphic,
     orbit_representatives,
@@ -77,6 +79,7 @@ from circulant_ci.multipliers import (
 from circulant_ci.zn import (
     DomainError,
     Factorization,
+    _check_modulus,
     _check_residue,
     factorize,
     order_exponent,
@@ -570,6 +573,14 @@ def generated_subgroup(members, n: int) -> tuple[int, ...]:
         _check_residue(s, n)
         g = math.gcd(g, s)
     return tuple(range(0, n, g))
+
+
+def subgroup_of_order(n: int, d: int) -> tuple[int, ...]:
+    """The unique subgroup of Z_n of order d: the multiples of n/d."""
+    _check_modulus(n)
+    if d < 1 or n % d != 0:
+        raise DomainError(f"{d} does not divide {n}")
+    return tuple(range(0, n, n // d))
 
 
 def check_reduction_consistency(n_max: int = 12) -> int:
@@ -1147,6 +1158,46 @@ def check_witness_boundary(n_max: int = 1000) -> int:
     return checked
 
 
+def first_failing_valency(n: int, mode: str) -> int | None:
+    """f(n), the least valency at which Z_n fails, as the theorem states it,
+    or None when Z_n fails at none.  Digraph mode: 3 when 8 | n, otherwise
+    p + 1 for the least odd prime p with p^2 | n.  Graph mode, for n other
+    than 8, 9 and 18: 6 when 8 | n, otherwise 2p + 2."""
+    if mode == "graph" and n in (8, 9, 18):
+        return None
+    if n % 8 == 0:
+        return 3 if mode == "digraph" else 6
+    p = next((p for p, t in factorize(n).parts if p != 2 and t >= 2), None)
+    if p is None:
+        return None
+    return p + 1 if mode == "digraph" else 2 * p + 2
+
+
+def check_first_failure(n_max: int = 80) -> int:
+    """The first failing valency at every modulus: for every n <= n_max in
+    both modes with an f(n), is_m_group(n, f(n), mode) fails with
+    failed_at == f(n), a walk that decides every valency below f(n)
+    exhaustively, and agrees with the predicate.  Graph mode at n = 8, 9
+    and 18 holds up to n - 1.  Every other n has no scanned prime, so all
+    its sets have the zero key and _key_candidates yields nothing."""
+    checked = 0
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            f = first_failing_valency(n, mode)
+            if f is not None:
+                report = is_m_group(n, f, mode)
+                assert not report.property_holds and report.failed_at == f, (n, mode, f)
+                assert report.agreement, (n, mode, f)
+            elif mode == "graph" and n in (8, 9, 18):
+                report = is_m_group(n, n - 1, mode)
+                assert report.property_holds and report.failed_at is None, (n, mode)
+            else:
+                for m in range(1, n):
+                    assert next(_key_candidates(n, m, mode), None) is None, (n, m, mode)
+            checked += 1
+    return checked
+
+
 # The CI runs: (check, its keyword arguments, time limit in seconds), run in
 # order by the entry point below; each comment gives the row's measured cost.
 CI_CHECKS = (
@@ -1185,6 +1236,10 @@ CI_CHECKS = (
     ("check_reduced_key", {"n_max": 72, "m_max": 4}, 120),
     # every n <= 3 000 in both modes: 1 927 families in about 18 s
     ("check_witness_boundary", {"n_max": 3000}, 120),
+    # every n <= 120 in both modes: 238 cells in about 8 s, the slowest the
+    # digraph cells of n = 117, 100 and 108 at about 1 s each; widening
+    # waits on the sweep by generated subgroup
+    ("check_first_failure", {"n_max": 120}, 60),
 )
 
 

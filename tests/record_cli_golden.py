@@ -56,6 +56,9 @@ CASES = (
     ["ci", "16", "2,4,10"],
     ["ci", "8", "1,2", "--mode", "graph", "--close-inverses"],
     ["ci", "384", "2,25,73"],
+    # two double-coset shapes, decided by the full scan and the reduction
+    ["ci", "27", "1,8,10,17,19,26"],
+    ["ci", "54", "1,17,19,27,35,37,53", "--mode", "graph"],
     ["classify", "9", "4"],
     ["classify", "8", "3", "--mode", "graph"],
     ["classify", "16", "6", "--mode", "graph"],

@@ -8,11 +8,12 @@ import time
 
 import pytest
 
-from checks import connection_set_reference
+from checks import connection_set_reference, subgroup_of_order
 from circulant_ci import engine
 from circulant_ci.cayley import ConnectionSet, orbit_members
 from circulant_ci.multipliers import as_permutation, solving_set
 from circulant_ci.engine import (
+    CiVerdict,
     decide_ci,
     is_ci,
     is_ci_reduced,
@@ -25,7 +26,6 @@ from circulant_ci.engine import (
     predicate_dci_group,
     predicate_mci,
     predicate_mdci,
-    recognize_coset_case,
     verify_theorems,
     witnesses,
 )
@@ -110,25 +110,29 @@ def test_is_ci_reduced_examples():
     assert v12.is_ci and v12.fast_path == "reduction"
 
 
-def test_recognize_coset_case_examples():
-    case = recognize_coset_case(_cs(27, (1, 10, 19)))
-    assert case.case == "i" and case.subgroup == (0, 9, 18) and case.shift == 1
-    case = recognize_coset_case(_cs(27, (1, 8, 10, 17, 19, 26)))
-    assert case.case == "ii" and case.subgroup == (0, 9, 18)
+def test_coset_shape_examples():
+    # a single coset of the subgroup of order 3 avoiding 0: one residue mod 9
+    assert decide_ci(_cs(27, (1, 10, 19))) == CiVerdict(True, None, "coset-case-i")
+    # (P + 1) | (P - 1) for P of order 3 generates Z_27: the full scan finds it CI
+    assert decide_ci(_cs(27, (1, 8, 10, 17, 19, 26))) == CiVerdict(True, None, "none")
+    # that shape plus {n/2} in Z_54 (9 | 54, <S> = Z_54): CI by the full scan
     p_sub = (0, 18, 36)
     members = sorted(
         {(x + 1) % 54 for x in p_sub} | {(x - 1) % 54 for x in p_sub} | {27}
     )
-    case = recognize_coset_case(_cs(54, members, "graph"))
-    assert case.case == "iii" and case.subgroup == (0, 18, 36)
-    assert recognize_coset_case(_cs(8, (1, 2, 5))) is None
+    assert decide_ci(_cs(54, members, "graph")) == CiVerdict(True, None, "none")
+    assert decide_ci(_cs(8, (1, 2, 5))).fast_path == "none"
 
 
 def test_coset_case_hypotheses_checked():
-    # the half-element shape without p^2 | n must fall through
-    assert recognize_coset_case(_cs(12, (1, 3, 5, 6, 7, 9, 11), "graph")) is None
-    # double cosets of the subgroup of order 2 are not case ii (p must be odd)
-    assert recognize_coset_case(_cs(12, (1, 5, 7, 11), "graph")) is None
+    # the half-element shape without p^2 | n is no single coset; its key is zero
+    v = decide_ci(_cs(12, (1, 3, 5, 6, 7, 9, 11), "graph"))
+    assert v == CiVerdict(True, None, "zero-key")
+    # two cosets of the subgroup of order 2 share no residue mod 12/4 = 3
+    v = decide_ci(_cs(12, (1, 5, 7, 11), "graph"))
+    assert v == CiVerdict(True, None, "zero-key")
+    # |S| = 3 does not divide 8, though every member is even
+    assert decide_ci(_cs(8, (2, 4, 6))) == CiVerdict(True, None, "reduction")
 
 
 def test_zero_key_fast_path_examples():
@@ -544,15 +548,21 @@ def test_orbit_closure_of_verdicts():
 
 
 def test_fast_path_soundness_small():
-    # whenever a shortcut fires, the full scan agrees (orbit reps, n <= 16)
+    # past the zero key, coset-case-i fires exactly on the single cosets
+    # avoiding 0, stated here in the set form, and every shortcut agrees
+    # with the full scan (orbit reps, n <= 16)
     for n in range(2, 17):
         for mode in ("digraph", "graph"):
             for size in range(1, n):
                 for members in orbit_representatives(n, size, mode):
                     s = ConnectionSet(n, members, mode)
-                    fired = (
-                        decide_ci(s).fast_path == "zero-key"
-                        or recognize_coset_case(s) is not None
-                    )
-                    if fired:
+                    verdict = decide_ci(s)
+                    if verdict.fast_path == "zero-key":
+                        assert is_ci(s).is_ci, (n, mode, members)
+                        continue
+                    coset = n % size == 0 and set(members) == {
+                        (members[0] + h) % n for h in subgroup_of_order(n, size)
+                    }
+                    assert (verdict.fast_path == "coset-case-i") == coset, (n, mode, members)
+                    if coset:
                         assert is_ci(s).is_ci, (n, mode, members)

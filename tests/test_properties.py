@@ -23,6 +23,7 @@ TIER1_CHECKS = (
     "check_ci_scan_against_reference",
     "check_iso_scan_against_reference",
     "check_witness_boundary",
+    "check_first_failure",
 )
 
 

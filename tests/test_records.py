@@ -1,4 +1,4 @@
-"""The record contract: the ten records are immutable named tuples whose
+"""The record contract: the nine records are immutable named tuples whose
 constructor checks hold on every route to an instance."""
 
 import pickle
@@ -18,7 +18,6 @@ from circulant_ci import (
     key_of_set,
     m_property,
     muzychuk_isomorphic,
-    recognize_coset_case,
     solving_set,
     witnesses,
 )
@@ -35,7 +34,6 @@ RECORDS = {
     "GenuineMultiplier": next(iter(solving_set(K))),
     "IsoVerdict": muzychuk_isomorphic(S, ConnectionSet(8, (2, 3, 7))),
     "CiVerdict": decide_ci(S),
-    "CosetCase": recognize_coset_case(ConnectionSet(27, (1, 10, 19))),
     "ClassificationReport": m_property(8, 3),
     "WitnessFamily": witnesses(8)[0],
 }

@@ -1,17 +1,16 @@
-"""Unit tests for exact Z_n arithmetic, and for the generated-subgroup
-reference in checks."""
+"""Unit tests for exact Z_n arithmetic, and for the subgroup references in
+checks."""
 
 from math import gcd
 
 import pytest
 
-from checks import generated_subgroup
+from checks import generated_subgroup, subgroup_of_order
 from circulant_ci.zn import (
     DomainError,
     Factorization,
     factorize,
     order_exponent,
-    subgroup_of_order,
     units,
 )
 
