@@ -5,7 +5,6 @@ each iterates over its fields and compares equal to the plain tuple of them.
 """
 
 from .cayley import (
-    CayleyDigraph,
     ConnectionSet,
     OracleCutoffError,
     build_cayley,
@@ -57,7 +56,6 @@ from .zn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleyDigraph",
     "CiVerdict",
     "ClassificationReport",
     "ConnectionSet",

@@ -1,5 +1,5 @@
-"""Connection sets, Cayley (di)graphs over Z_n, unit orbits, and a
-self-contained isomorphism oracle.
+"""Connection sets, each of which stands for its Cayley (di)graph
+Cay(Z_n, S), unit orbits, and a self-contained isomorphism oracle.
 
 The oracle is deliberately independent of the key and multiplier machinery:
 it decides isomorphism on the adjacency structure alone, by
@@ -68,19 +68,10 @@ class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
         return len(self.members)
 
 
-class CayleyDigraph(namedtuple("CayleyDigraph", "connection")):
-    """Vertex set Z_n with the arc (g, s+g) for every member s: the arcs are
-    derived from S, so every CayleyDigraph is translation-invariant."""
-
-    __slots__ = ()
-
-    @property
-    def n(self) -> int:
-        return self.connection.n
-
-
-def build_cayley(s: ConnectionSet) -> CayleyDigraph:
-    return CayleyDigraph(s)
+def build_cayley(s: ConnectionSet) -> ConnectionSet:
+    """Cay(Z_n, S), which is S itself: the arcs (g, g + s) are read off
+    the members, so the connection set is returned unchanged."""
+    return s
 
 
 def _unit_multiples(members: tuple[int, ...], n: int) -> Iterator[tuple[int, ...]]:
@@ -106,13 +97,12 @@ def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ..
     return tuple(sorted(set(_unit_multiples(members, n))))
 
 
-def _shifts(g: CayleyDigraph) -> tuple[tuple[int, ...], ...]:
+def _shifts(s: ConnectionSet) -> tuple[tuple[int, ...], ...]:
     """S, whose shifts v + s give the out-neighbours, and n - S, giving the
     in-neighbours; S alone in graph mode, where S = -S."""
-    n, members = g.n, g.connection.members
-    if g.connection.mode == "graph":
-        return (members,)
-    return members, tuple(n - s for s in members)
+    if s.mode == "graph":
+        return (s.members,)
+    return s.members, tuple(s.n - x for x in s.members)
 
 
 def _signatures(colours, shifts):
@@ -173,13 +163,13 @@ def _joint_refinement(a_shifts, b_shifts, ca, cb):
         cb = list(map(palette.__getitem__, sig_b))
 
 
-def _adjacency_colours(a: CayleyDigraph, b: CayleyDigraph):
+def _adjacency_colours(a: ConnectionSet, b: ConnectionSet):
     """One refinement round from vertex 0 alone, read off S: v != 0 codes
     2[v in -S] + [v in S], 0 codes 4, and the round's signatures order so
     (see _signatures); None exactly where that round refutes the pair."""
     ca, cb = [0] * a.n, [0] * a.n
     for code, g in ((ca, a), (cb, b)):
-        for s in g.connection.members:
+        for s in g.members:
             code[-s] += 2
             code[s] += 1
         code[0] = 4
@@ -190,9 +180,10 @@ def _adjacency_colours(a: CayleyDigraph, b: CayleyDigraph):
 
 
 def brute_force_isomorphism(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = ORACLE_CUTOFF
+    a: ConnectionSet, b: ConnectionSet, *, oracle_cutoff: int = ORACLE_CUTOFF
 ) -> tuple[int, ...] | None:
-    """An arc-preserving vertex bijection from `a` onto `b`, or None.
+    """An arc-preserving vertex bijection from Cay(Z_n, a) onto
+    Cay(Z_n, b), or None.
 
     Individualization-refinement (McKay & Piperno 2014), on the adjacency
     alone:
@@ -218,7 +209,7 @@ def brute_force_isomorphism(
     fixes 0 keeps its colours equal along the branch that follows it, and
     every candidate w is tried; no branch is cut for any other reason.
     """
-    _check_pair(a.connection, b.connection)
+    _check_pair(a, b)
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
@@ -252,7 +243,7 @@ def brute_force_isomorphism(
     # f preserves the arcs iff it is a bijection, |S| = |T| and every
     # f(v + s) - f(v) lies in T: the |S| distinct images of v's
     # out-neighbours then fill f(v) + T
-    s, t = a.connection.members, frozenset(b.connection.members)
+    s, t = a.members, frozenset(b.members)
     if mapping is not None and (
         len(set(mapping)) != n
         or len(s) != len(t)
@@ -265,7 +256,7 @@ def brute_force_isomorphism(
 
 
 def brute_force_isomorphic(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = ORACLE_CUTOFF
+    a: ConnectionSet, b: ConnectionSet, *, oracle_cutoff: int = ORACLE_CUTOFF
 ) -> bool:
     """Boolean form of the oracle."""
     return brute_force_isomorphism(a, b, oracle_cutoff=oracle_cutoff) is not None

@@ -23,7 +23,6 @@ from .cayley import (
     ConnectionSet,
     OracleCutoffError,
     brute_force_isomorphism,
-    build_cayley,
 )
 from .engine import ClassificationReport, DisagreementError
 from .keys import key_of_set, key_partition
@@ -32,28 +31,20 @@ from .zn import DomainError, _check_modulus
 FORMATS = ("json", "csv", "text")
 
 
-def parse_residues(text: str, n: int) -> tuple[int, ...]:
-    """Comma-separated integers, taken literally mod n; 0 is rejected."""
-    text = text.strip()
-    if not text:
-        return ()
+def _make_set(n: int, text: str, mode: str, close_inverses: bool) -> ConnectionSet:
+    """The connection set of comma-separated integers, taken literally mod
+    n; 0 is rejected."""
+    _check_modulus(n)  # before parsing, which reduces every residue mod n
     members = set()
-    for token in text.split(","):
+    for token in text.split(",") if text.strip() else ():
         token = token.strip()
         try:
-            value = int(token)
+            value = int(token) % n
         except ValueError as exc:
             raise DomainError(f"cannot parse residue {token!r}") from exc
-        value %= n
         if value == 0:
             raise DomainError("0 is not allowed in a connection set")
         members.add(value)
-    return tuple(sorted(members))
-
-
-def _make_set(n: int, text: str, mode: str, close_inverses: bool) -> ConnectionSet:
-    _check_modulus(n)  # before parsing, which reduces every residue mod n
-    members = set(parse_residues(text, n))
     if close_inverses:
         members |= {(-x) % n for x in members}
     return ConnectionSet(n, tuple(sorted(members)), mode)
@@ -124,9 +115,7 @@ def cmd_iso(args: argparse.Namespace) -> int:
         text = [f"not isomorphic ({verdict.reason})"]
     code = 0
     if args.oracle:
-        mapping = brute_force_isomorphism(
-            build_cayley(s), build_cayley(t), oracle_cutoff=args.oracle_cutoff
-        )
+        mapping = brute_force_isomorphism(s, t, oracle_cutoff=args.oracle_cutoff)
         doc["oracle"] = mapping is not None
         doc["agree"] = doc["oracle"] == verdict.isomorphic
         if not doc["agree"]:

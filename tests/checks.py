@@ -44,12 +44,10 @@ from operator import mul
 from circulant_ci import cayley, engine
 from circulant_ci.cayley import (
     MODES,
-    CayleyDigraph,
     ConnectionSet,
     OracleCutoffError,
     brute_force_isomorphic,
     brute_force_isomorphism,
-    build_cayley,
     orbit_members,
 )
 from circulant_ci.engine import (
@@ -59,6 +57,7 @@ from circulant_ci.engine import (
     _key_candidates,
     _orbit_least,
     connection_set_tuples,
+    decide_ci,
     is_ci,
     is_ci_reduced,
     is_m_group,
@@ -217,11 +216,12 @@ def lattice_key_of_partition(n: int, classes) -> Key:
     return joined
 
 
-def _out_in(g: CayleyDigraph):
-    """The arcs: out- and in-neighbours of every vertex, as translates of S and -S."""
-    n, members = g.n, g.connection.members
-    out = [[(v + s) % n for s in members] for v in range(n)]
-    return out, [[(v - s) % n for s in members] for v in range(n)]
+def _out_in(s: ConnectionSet):
+    """The arcs of Cay(Z_n, S): out- and in-neighbours of every vertex, as
+    translates of S and -S."""
+    n, members = s.n, s.members
+    out = [[(v + x) % n for x in members] for v in range(n)]
+    return out, [[(v - x) % n for x in members] for v in range(n)]
 
 
 def _signatures(out, inn, colours):
@@ -254,7 +254,7 @@ def _joint_refinement(a_out, a_in, b_out, b_in, ca, cb):
         ca, cb = new_a, new_b
 
 
-def index_list_isomorphism(a: CayleyDigraph, b: CayleyDigraph) -> tuple[int, ...] | None:
+def index_list_isomorphism(a: ConnectionSet, b: ConnectionSet) -> tuple[int, ...] | None:
     """Reference for brute_force_isomorphism, which must return the same
     mapping: the same individualization-refinement search, with vertex 0
     fixed and the same branching order, over per-vertex neighbour lists
@@ -290,19 +290,19 @@ def index_list_isomorphism(a: CayleyDigraph, b: CayleyDigraph) -> tuple[int, ...
     return search(root, root)
 
 
-def out_neighbours(g: CayleyDigraph) -> list[set[int]]:
-    """The out-neighbours S + v of every vertex v, built from the members of
-    S: the arcs the references check against, sharing no code with the
-    oracle's."""
-    n, members = g.n, g.connection.members
-    return [{(v + s) % n for s in members} for v in range(n)]
+def out_neighbours(s: ConnectionSet) -> list[set[int]]:
+    """The out-neighbours S + v of every vertex v of Cay(Z_n, S), built from
+    the members of S: the arcs the references check against, sharing no
+    code with the oracle's."""
+    n, members = s.n, s.members
+    return [{(v + x) % n for x in members} for v in range(n)]
 
 
 def backtracking_isomorphism(
-    a: CayleyDigraph, b: CayleyDigraph, *, oracle_cutoff: int = cayley.ORACLE_CUTOFF
+    a: ConnectionSet, b: ConnectionSet, *, oracle_cutoff: int = cayley.ORACLE_CUTOFF
 ) -> tuple[int, ...] | None:
     """Reference for brute_force_isomorphism: an arc-preserving vertex
-    bijection from `a` onto `b`, or None.
+    bijection from Cay(Z_n, a) onto Cay(Z_n, b), or None.
 
     Plain backtracking over partial vertex maps, candidates pruned by the
     refinement colours and checked for adjacency consistency against every
@@ -310,12 +310,12 @@ def backtracking_isomorphism(
     """
     if a.n != b.n:
         raise DomainError("digraphs live over different Z_n")
-    if a.connection.mode != b.connection.mode:
+    if a.mode != b.mode:
         raise DomainError("digraphs have different modes")
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
-    if a.connection.valency != b.connection.valency:
+    if a.valency != b.valency:
         return None
 
     a_out = out_neighbours(a)
@@ -612,7 +612,7 @@ def check_criterion_against_oracle(n_max: int = 11) -> int:
     checked = 0
     for s, t in _same_size_pairs(n_max):
         case = (s.n, s.mode, s.members, t.members)
-        oracle = brute_force_isomorphic(build_cayley(s), build_cayley(t))
+        oracle = brute_force_isomorphic(s, t)
         assert muzychuk_isomorphic(s, t).isomorphic == oracle, case
         if oracle:
             assert key_of_set(s) == key_of_set(t), case
@@ -743,19 +743,18 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
     assert {s.n for s, _ in isomorphic} == {8, 9}, isomorphic
     cases += [(s, t, True) for s, t in isomorphic] + [(t, s, True) for s, t in isomorphic]
     for s, t, known_isomorphic in cases:
-        a, b = build_cayley(s), build_cayley(t)
-        fast = brute_force_isomorphism(a, b)
-        slow = backtracking_isomorphism(a, b)
+        fast = brute_force_isomorphism(s, t)
+        slow = backtracking_isomorphism(s, t)
         case = (s.n, s.mode, s.members, t.members)
-        assert fast == index_list_isomorphism(a, b), case
+        assert fast == index_list_isomorphism(s, t), case
         root = [1] + [0] * (s.n - 1)
         assert cayley._joint_refinement(
-            cayley._shifts(a), cayley._shifts(b), root, root
-        ) == _joint_refinement(*_out_in(a), *_out_in(b), root, root), case
+            cayley._shifts(s), cayley._shifts(t), root, root
+        ) == _joint_refinement(*_out_in(s), *_out_in(t), root, root), case
         # the search's start: one round from the root, read off S
-        sig_a = _signatures(*_out_in(a), root)
-        sig_b = _signatures(*_out_in(b), root)
-        start = cayley._adjacency_colours(a, b)
+        sig_a = _signatures(*_out_in(s), root)
+        sig_b = _signatures(*_out_in(t), root)
+        start = cayley._adjacency_colours(s, t)
         if Counter(sig_a) != Counter(sig_b):
             assert start is None, case
         else:
@@ -763,7 +762,7 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
             assert start == (ranks[:s.n], ranks[s.n:]), case
         assert (fast is None) == (slow is None), case
         assert fast is not None or not known_isomorphic, case
-        a_out, b_out = out_neighbours(a), out_neighbours(b)
+        a_out, b_out = out_neighbours(s), out_neighbours(t)
         for mapping in (fast, slow):
             if mapping is not None:
                 assert sorted(mapping) == list(range(s.n)), case
@@ -778,10 +777,10 @@ def _ranks(signatures) -> list[int]:
     return [place[s] for s in signatures]
 
 
-def _random_pair(rng: random.Random, n: int, mode: str) -> tuple[CayleyDigraph, ...]:
-    """Two random Cayley digraphs over Z_n of one mode and one valency: in
-    graph mode each connection set is a union of pairs {x, -x}, with n/2 in
-    both or in neither."""
+def _random_pair(rng: random.Random, n: int, mode: str) -> tuple[ConnectionSet, ...]:
+    """Two random connection sets over Z_n of one mode and one valency: in
+    graph mode each is a union of pairs {x, -x}, with n/2 in both or in
+    neither."""
     if mode == "digraph":
         size = rng.randrange(n)
         picks = [rng.sample(range(1, n), size) for _ in range(2)]
@@ -793,9 +792,7 @@ def _random_pair(rng: random.Random, n: int, mode: str) -> tuple[CayleyDigraph, 
             half + [y for x in rng.sample(pairs, size) for y in (x, n - x)]
             for _ in range(2)
         ]
-    return tuple(
-        build_cayley(ConnectionSet(n, tuple(sorted(pick)), mode)) for pick in picks
-    )
+    return tuple(ConnectionSet(n, tuple(sorted(pick)), mode) for pick in picks)
 
 
 def check_signature_order(n_max: int = 16) -> int:
@@ -815,7 +812,7 @@ def check_signature_order(n_max: int = 16) -> int:
     checked = 0
     for n in range(2, n_max + 1):
         for mode in MODES:
-            whole = build_cayley(ConnectionSet(n, tuple(range(1, n)), mode))
+            whole = ConnectionSet(n, tuple(range(1, n)), mode)
             for k in range(1, n + 1):
                 # a plain colouring, one with a filled neighbourhood, and
                 # one filling a neighbourhood of Cay(Z_n, Z_n minus {0})
@@ -1158,6 +1155,53 @@ def check_witness_boundary(n_max: int = 1000) -> int:
     return checked
 
 
+def _complement(s: ConnectionSet) -> ConnectionSet:
+    # C = Z_n \ ({0} u S), of the same mode: -C is the complement of -S
+    inside = set(s.members)
+    return ConnectionSet(s.n, tuple(x for x in range(1, s.n) if x not in inside), s.mode)
+
+
+def check_complement(n_max: int = 36, m_max: int = 6, graph_m_max: int = 12) -> int:
+    """S against its complement C = Z_n \\ ({0} u S): a bijection of Z_n
+    carries Cay(Z_n, S) onto Cay(Z_n, T) iff it carries their complements
+    onto each other, and uC is the complement of uS, so S is CI iff C is
+    and the complement of a witness for one is a witness for the other.
+    For every orbit representative from _key_candidates with n <= n_max
+    and m <= n - 2, up to m_max in digraph mode and up to graph_m_max in
+    graph mode (a union of about m/2 pairs {x, -x}): S and C have one key
+    and one decide_ci verdict, and the complement of each witness of
+    either has the key of the other and lies outside its unit orbit,
+    listed here from units(n).  The two verdicts often come from different
+    stages (S inside a proper subgroup takes the reduction, C generating
+    Z_n the full scan); the walk must meet such pairs and non-CI sets."""
+    checked = other_stage = non_ci = 0
+    for n in range(2, n_max + 1):
+        for mode, m_top in zip(MODES, (m_max, graph_m_max)):
+            for m in range(1, min(m_top, n - 2) + 1):
+                for mem in _orbit_least(_key_candidates(n, m, mode), n):
+                    s = ConnectionSet(n, mem, mode)
+                    c = _complement(s)
+                    case = (n, mode, mem)
+                    assert key_of_set(s) == key_of_set(c), case
+                    verdicts = decide_ci(s), decide_ci(c)
+                    assert verdicts[0].is_ci == verdicts[1].is_ci, case
+                    for verdict, mate in zip(verdicts, (c, s)):
+                        if verdict.witness is not None:
+                            w = _complement(verdict.witness)
+                            assert key_of_set(w) == key_of_set(mate), case
+                            orbit = {
+                                tuple(sorted(u * x % n for x in mate.members))
+                                for u in units(n)
+                            }
+                            assert w.members not in orbit, case
+                    other_stage += verdicts[0].fast_path != verdicts[1].fast_path
+                    non_ci += not verdicts[0].is_ci
+                    checked += 1
+    assert other_stage > 0, "no pair was decided by two different stages"
+    assert non_ci > 0, "no non-CI pair was compared"
+    return checked
+
+
 def first_failing_valency(n: int, mode: str) -> int | None:
     """f(n), the least valency at which Z_n fails, as the theorem states it,
     or None when Z_n fails at none.  Digraph mode: 3 when 8 | n, otherwise
@@ -1240,6 +1284,11 @@ CI_CHECKS = (
     # digraph cells of n = 117, 100 and 108 at about 1 s each; widening
     # waits on the sweep by generated subgroup
     ("check_first_failure", {"n_max": 120}, 60),
+    # every n <= 72, digraph m <= 5 and graph m <= 12, each set against its
+    # complement of size n - 1 - m: 132 148 pairs in 60-80 s, 88 095 of
+    # them decided by two different stages; digraph m <= 6 at n <= 60 alone
+    # takes about 55 s
+    ("check_complement", {"n_max": 72, "m_max": 5, "graph_m_max": 12}, 300),
 )
 
 

@@ -61,6 +61,23 @@ def test_build_cayley_examples():
     assert _out_sets(g8) == [{(g + 1) % 8, (g + 2) % 8, (g + 5) % 8} for g in range(8)]
 
 
+def test_build_cayley_returns_its_connection_set():
+    # a circulant is its connection set: the oracle reads S, and
+    # build_cayley, which the benchmark still calls, hands S back
+    pairs = (
+        (ConnectionSet(8, (1, 2, 5)), ConnectionSet(8, (1, 5, 6))),
+        (ConnectionSet(8, (1, 2, 5)), ConnectionSet(8, (1, 2, 3))),
+        (ConnectionSet(8, (1, 4, 7), "graph"), ConnectionSet(8, (3, 4, 5), "graph")),
+        (ConnectionSet(8, (1, 4, 7), "graph"), ConnectionSet(8, (2, 4, 6), "graph")),
+    )
+    for s, t in pairs:
+        assert build_cayley(s) is s and build_cayley(t) is t
+        assert brute_force_isomorphic(s, t) == brute_force_isomorphic(
+            build_cayley(s), build_cayley(t)
+        )
+    assert [brute_force_isomorphic(s, t) for s, t in pairs] == [True, False, True, False]
+
+
 def test_degree_invariants():
     for members, mode in (((1, 2, 5), "digraph"), ((1, 3, 4, 5, 7), "graph")):
         s = ConnectionSet(8, members, mode)

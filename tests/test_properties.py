@@ -24,6 +24,7 @@ TIER1_CHECKS = (
     "check_iso_scan_against_reference",
     "check_witness_boundary",
     "check_first_failure",
+    "check_complement",
 )
 
 

@@ -1,4 +1,4 @@
-"""The record contract: the nine records are immutable named tuples whose
+"""The record contract: the eight records are immutable named tuples whose
 constructor checks hold on every route to an instance."""
 
 import pickle
@@ -12,7 +12,6 @@ from circulant_ci import (
     CiVerdict,
     DomainError,
     IsoVerdict,
-    build_cayley,
     decide_ci,
     factorize,
     key_of_set,
@@ -29,7 +28,6 @@ K = key_of_set(S)
 RECORDS = {
     "Factorization": factorize(72),
     "ConnectionSet": S,
-    "CayleyDigraph": build_cayley(S),
     "Key": K,
     "GenuineMultiplier": next(iter(solving_set(K))),
     "IsoVerdict": muzychuk_isomorphic(S, ConnectionSet(8, (2, 3, 7))),
