@@ -38,18 +38,12 @@ word operations, whatever |S|.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from functools import lru_cache
 
 from .cayley import ConnectionSet
-from .zn import (
-    DomainError,
-    Factorization,
-    InternalConsistencyError,
-    _checked_make,
-    factorize,
-    order_exponent,
-)
+from .zn import DomainError, Factorization, InternalConsistencyError, _checked_make, factorize
 
 
 def _check_rows(rows, parts: tuple[tuple[int, int], ...], noun: str) -> None:
@@ -97,32 +91,41 @@ def zero_key(f: Factorization) -> Key:
 KEY_CACHE_SIZE = 512
 
 
+def _class_picks(order: int, k: Key) -> tuple[int, list[tuple[int, int]]]:
+    """The one statement of a class: the elements of additive order `order`
+    share the order exponent a of their p-part at every prime p^t, so
+    under k they share the subgroup H with x + H the class of x.  Returns
+    |H|, the product of p^k over the primes, k the row-p entry at a
+    (k = 0 where a = 0, so {0} is a class of its own), and one pick
+    (i, a - 1) per prime where a > 0: p's row index and the entry read.
+    """
+    size, picks = 1, []
+    for i, ((p, _), row) in enumerate(zip(k.factorization.parts, k.rows)):
+        a = 0  # the p-adic valuation of order
+        while order % p == 0:
+            order //= p
+            a += 1
+        if a:
+            size *= p ** row[a - 1]
+            picks.append((i, a - 1))
+    return size, picks
+
+
 @lru_cache(maxsize=KEY_CACHE_SIZE)
 def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
     """The partition of Z_n induced by a key, as sorted classes ordered by
     least element.
 
-    The class of x is the coset x + H, where H is the subgroup of order
-    prod_p p^k and k is the row-p entry at the order exponent of x mod p^t
-    (k = 0 where x = 0 mod p^t, so {0} is a class of its own).  This is
-    the CRT product of the per-prime classes.
+    The class of x is the coset x + H of ``_class_picks``, generated by
+    n / |H|; its members share x's order, so x is its least member exactly
+    when x < n / |H|.  This is the CRT product of the per-prime classes.
     """
-    f = k.factorization
-    n = f.n
-    assigned = [False] * n
+    n = k.factorization.n
     classes = []
     for x in range(n):
-        if assigned[x]:
-            continue
-        order = 1
-        for (p, t), row in zip(f.parts, k.rows):
-            a = order_exponent(x % p**t, p, t)
-            if a:
-                order *= p ** row[a - 1]
-        coset = sorted(y % n for y in range(x, x + n, n // order))
-        for y in coset:
-            assigned[y] = True
-        classes.append(tuple(coset))
+        step = n // _class_picks(n // math.gcd(x, n), k)[0]
+        if x < step:
+            classes.append(tuple(range(x, n, step)))
     return tuple(classes)
 
 

@@ -41,8 +41,8 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .keys import Key, _check_rows
-from .zn import DomainError, Factorization, _checked_make
+from .keys import Key, _check_rows, _class_picks
+from .zn import DomainError, Factorization, _check_residue, _checked_make
 
 
 class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
@@ -99,42 +99,48 @@ def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ..
     return list(zip(*[[x // q % p * q * e for x in members] for p, q, e in places]))
 
 
+def _check_residues(xs: Sequence[int], n: int) -> None:
+    # each x is a canonical residue when the least and the greatest are
+    if xs:
+        _check_residue(min(xs), n)
+        _check_residue(max(xs), n)
+
+
 def _layers(
     members: Sequence[int], k: Key
 ) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     """The one statement of the class action: the members grouped by their
     gcd with n, each layer with one pick (i, a - 1, e) per prime p^t at
-    which its order exponent a is non-zero: p's row index, the row entry
-    the layer's unit reads, and the CRT idempotent e of p^t.  The unit of
-    rows m is the sum of m[i][a - 1] * e over the picks, as the members'
-    parts at the other primes are 0.
+    which its order exponent a is non-zero: the ``_class_picks`` of its
+    order, p's row index and the row entry the layer's unit reads, with the
+    CRT idempotent e of p^t.  The unit of rows m is the sum of
+    m[i][a - 1] * e over the picks, as the members' parts at the other
+    primes are 0.
 
-    Refuses members that are no union of classes of k: x + n / p^c must be
-    a member for each member x and prime p with k's entry c > 0 at the
-    order exponent of x's p-part.  With no such entry, as under the zero
-    key, no member set is built.
+    Refuses members that are not canonical residues, or no union of classes
+    of k: the class subgroup H of a layer is cyclic, so x + n / |H| must be
+    a member for each member x of a layer with |H| > 1.  With no such
+    layer, as under the zero key, no member set is built.
     """
     f = k.factorization
     n = f.n
-    # keyed by the order n / gcd(x, n) of x, whose p-adic valuation is the
-    # order exponent of x's p-part
-    by_order: dict[int, list[int]] = {}
+    _check_residues(members, n)
+    gcd = math.gcd
+    by_gcd: dict[int, list[int]] = {}
     for x in members:
-        by_order.setdefault(n // math.gcd(x, n), []).append(x)
-    primes = tuple(enumerate(zip(f.parts, k.rows, f.idempotents)))
+        d = gcd(x, n)
+        if d in by_gcd:
+            by_gcd[d].append(x)
+        else:
+            by_gcd[d] = [x]
+    idempotents = f.idempotents
     layers, steps = [], []
-    for order, xs in by_order.items():
-        picks = []
-        for i, ((p, _), row, e) in primes:
-            a = 0
-            while order % p == 0:
-                order //= p
-                a += 1
-            if a:
-                picks.append((i, a - 1, e))
-                if row[a - 1]:
-                    steps.append((xs, n // p ** row[a - 1]))
-        layers.append((xs, picks))
+    for d, xs in by_gcd.items():
+        # the members of the layer have order n / d
+        size, picks = _class_picks(n // d, k)
+        layers.append((xs, [(i, j, idempotents[i]) for i, j in picks]))
+        if size > 1:
+            steps.append((xs, n // size))
     if steps:
         inside = set(members)
         if any((x + step) % n not in inside for xs, step in steps for x in xs):
@@ -240,10 +246,10 @@ class SolvingSet:
     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
         """(rows, sorted image of members) per multiplier, in iteration order.
 
-        The members must be a union of classes of the key; ``_layers``
-        groups them once per call, at the call, and a multiplier's images
-        are computed only when the scan reaches it.  Every image lies in
-        Z_n, so no multiplier is dropped.
+        The members must be residues in 0..n-1 and a union of classes of
+        the key; ``_layers`` checks and groups them once per call, at the
+        call, and a multiplier's images are computed only when the scan
+        reaches it.  Every image lies in Z_n, so no multiplier is dropped.
         """
         n = self.key.factorization.n
         return (
@@ -259,7 +265,8 @@ class SolvingSet:
         """(rows, sorted image of members) of the first multiplier, in
         iteration order, that maps every member into target, or None.
 
-        The members must be a union of classes of the key.  A multiplier is
+        The members must be residues in 0..n-1 and a union of classes of
+        the key, and the target residues in 0..n-1.  A multiplier is
         dropped at the first member whose image falls outside target, so a
         miss costs no full image and no sort; that is exact, since each
         image u * x lies in the multiplier's image of the members.  The
@@ -271,6 +278,7 @@ class SolvingSet:
         layers = _layers(members, self.key)
         n = self.key.factorization.n
         inside = bytearray(n)
+        _check_residues(target, n)
         for y in target:
             inside[y] = 1
         for rows, image in _mapped_into(product(*self._rows), layers, n, inside):

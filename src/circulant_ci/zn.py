@@ -113,18 +113,6 @@ def _check_residue(x: int, n: int) -> None:
         raise DomainError(f"{x} is not a canonical residue mod {n}")
 
 
-def order_exponent(x: int, p: int, t: int) -> int:
-    """The a with p^a the additive order of x in Z_{p^t} (0 for x = 0)."""
-    _check_residue(x, p**t)
-    if x == 0:
-        return 0
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return t - v
-
-
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def units(n: int) -> tuple[int, ...]:
     """Ascending units of Z_n; multiplication by these realizes Aut(Z_n)."""

@@ -10,7 +10,8 @@ widths; CI_CHECKS at the end holds the wider CI runs, and
 The slow references the checks compare against live here too: the whole
 key lattice with its order and join, refinement of partitions given as
 class tuples, the lattice join as the key of such a partition, the key of
-a set by the stabilizer test read one member at a time, the
+a set by the stabilizer test read one member at a time, with the order
+exponent of each member's p-part found by division, the
 entry-by-entry rule for genuine multiplier rows, the digit loop of the
 multiplier action with its own CRT recombination, the element action's
 images of a set under a whole solving set, with CRT idempotents found by
@@ -81,7 +82,6 @@ from circulant_ci.zn import (
     _check_modulus,
     _check_residue,
     factorize,
-    order_exponent,
     units,
 )
 
@@ -618,6 +618,18 @@ def check_criterion_against_oracle(n_max: int = 11) -> int:
             assert key_of_set(s) == key_of_set(t), case
         checked += 1
     return checked
+
+
+def order_exponent(x: int, p: int, t: int) -> int:
+    """The a with p^a the additive order of x in Z_{p^t} (0 for x = 0)."""
+    _check_residue(x, p**t)
+    if x == 0:
+        return 0
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return t - v
 
 
 def key_of_set_reference(s: ConnectionSet) -> Key:
@@ -1263,6 +1275,11 @@ CI_CHECKS = (
     ("check_orbit_filter", {"n_max": 20, "wide_n_max": 30, "wide_m_max": 5}, 300),
     # every key with n <= 128: 26 045 multipliers in about 16 s
     ("check_multiplier_action", {"n_max": 128}, 300),
+    # every key with n <= 200: 1 274 partitions in about 3 s
+    ("check_key_round_trip", {"n_max": 200}, 60),
+    # every n <= 400, at most 1 500 ordered pairs of keys per n: 16 135
+    # pairs in about 8 s
+    ("check_monotonicity", {"n_max": 400}, 120),
     # up to the oracle cutoff: 35 182 pairs in about 55 s
     ("check_oracle_against_backtracking", {"n_max": 12}, 300),
     # every n <= 40 in both modes: 4 914 colourings in a few seconds

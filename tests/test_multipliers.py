@@ -201,3 +201,43 @@ def test_scan_takes_unions_of_classes_only():
     assert [image for _, image in ss.images(accepted)] == expected
     assert expected == [(0, 1, 4, 7), (0, 2, 5, 8)] * 2
     assert ss.first_into(accepted, (0, 2, 5, 8)) == (((1, 2),), (0, 2, 5, 8))
+
+
+def test_scan_checks_a_class_by_one_step_at_two_primes():
+    # key ((0, 1), (0, 1)) of Z_36: a unit x has order 4 * 9, and its class
+    # is x + H with H of order 2 * 3, generated by 6; (1, 13, 25) is closed
+    # under +12, which generates the part of order 3, but not under +18,
+    # the part of order 2, so it is no union of classes
+    k = Key(factorize(36), ((0, 1), (0, 1)))
+    ss = solving_set(k)
+    with pytest.raises(DomainError, match="union of the key's classes"):
+        ss.images((1, 13, 25))
+    with pytest.raises(DomainError, match="union of the key's classes"):
+        ss.first_into((1, 13, 25), (5, 17, 29))
+    whole = (1, 7, 13, 19, 25, 31)
+    expected = [
+        tuple(sorted(multiplier_action_reference(m.rows, 36)[x] for x in whole))
+        for m in ss
+    ]
+    assert [image for _, image in ss.images(whole)] == expected
+
+
+# (members, target) of a scan of Z_8 under the key of (1, 2, 5), with one
+# residue outside 0..7: a target read mod 8, a target past the end of the
+# table, and a member whose multiple is read mod 8
+OUTSIDE_Z8 = {
+    "negative-target": ((1, 2, 5), (-6, 3, -1), "-6"),
+    "target-past-n": ((1, 2, 5), (1, 2, 9), "9"),
+    "member-past-n": ((1, 2, 5, 13), None, "13"),
+}
+
+
+@pytest.mark.parametrize("case", OUTSIDE_Z8)
+def test_scan_refuses_residues_outside_z_n(case):
+    members, target, bad = OUTSIDE_Z8[case]
+    ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
+    with pytest.raises(DomainError, match=f"^{bad} is not a canonical residue mod 8$"):
+        if target is None:
+            ss.images(members)
+        else:
+            ss.first_into(members, target)

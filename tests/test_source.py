@@ -302,6 +302,45 @@ def test_multiplier_action_stated_once():
     }, users
 
 
+def _reads_entry_at_exponent(node: ast.AST) -> bool:
+    # a subscript row[a - 1]: the key entry at an order exponent a
+    return (
+        isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.BinOp)
+        and isinstance(node.slice.op, ast.Sub)
+        and ast.unparse(node.slice.right) == "1"
+    )
+
+
+def test_class_stated_once():
+    # keys._class_picks is the one code that reads a key entry at an order
+    # exponent, so the one that computes a class subgroup; key_partition
+    # and the scan's layers take their classes from it, and no module keeps
+    # an order exponent of its own
+    reads = {
+        (path.stem, scope)
+        for path, tree in _trees()
+        for scope, _ in _scoped(tree, _reads_entry_at_exponent)
+    }
+    assert reads == {("keys", "_class_picks")}, reads
+    callers = {
+        (path.stem, scope)
+        for path, tree in _trees()
+        for scope, _ in _scoped(
+            tree,
+            lambda node: isinstance(node, ast.Call) and _decorator_name(node) == "_class_picks",
+        )
+    }
+    assert callers == {("keys", "key_partition"), ("multipliers", "_layers")}, callers
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "order_exponent"
+    ]
+    assert not defined, defined
+
+
 # the message of each input check, and the one function that raises it
 INPUT_CHECKS = {
     "modulus must be at least 2": ("zn", "_check_modulus"),
@@ -309,6 +348,7 @@ INPUT_CHECKS = {
     "rows must be a tuple of tuples": ("keys", "_check_rows"),
     "live over different Z_n": ("cayley", "_check_pair"),
     "union of the key's classes": ("multipliers", "_layers"),
+    "is not a canonical residue": ("zn", "_check_residue"),
 }
 
 

@@ -1,18 +1,12 @@
-"""Unit tests for exact Z_n arithmetic, and for the subgroup references in
-checks."""
+"""Unit tests for exact Z_n arithmetic, and for the subgroup and order
+exponent references in checks."""
 
 from math import gcd
 
 import pytest
 
-from checks import generated_subgroup, subgroup_of_order
-from circulant_ci.zn import (
-    DomainError,
-    Factorization,
-    factorize,
-    order_exponent,
-    units,
-)
+from checks import generated_subgroup, order_exponent, subgroup_of_order
+from circulant_ci.zn import DomainError, Factorization, factorize, units
 
 
 def test_factorize_examples():
