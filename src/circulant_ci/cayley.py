@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
+from operator import lt
 
 from .zn import DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
 
 MODES = ("digraph", "graph")
 ORACLE_CUTOFF = 12  # the largest n the oracle searches unless its caller says otherwise
+_INT = frozenset((int,))  # the one member type; bool and float are refused
 
 
 def _check_mode(mode: str) -> None:
@@ -52,13 +54,15 @@ class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
     def __new__(cls, n: int, members: tuple[int, ...], mode: str = "digraph"):
         _check_modulus(n)
         _check_mode(mode)
-        if tuple(sorted(set(members))) != members:
+        if not _INT.issuperset(map(type, members)):
+            raise DomainError("connection set members must be ints")
+        if not isinstance(members, tuple) or not all(map(lt, members, members[1:])):
             raise DomainError("members must be a strictly increasing tuple")
-        for s in members:
-            if not 1 <= s < n:
-                raise DomainError(
-                    "connection set members must lie in 1..n-1 (0 is excluded)"
-                )
+        # increasing, so the least and the greatest bound the rest
+        if members and not 1 <= members[0] <= members[-1] < n:
+            raise DomainError(
+                "connection set members must lie in 1..n-1 (0 is excluded)"
+            )
         if mode == "graph" and {(-s) % n for s in members} != set(members):
             raise DomainError("graph connection set must be inverse-closed")
         return super().__new__(cls, n, members, mode)
@@ -87,14 +91,14 @@ def _unit_multiples(members: tuple[int, ...], n: int) -> Iterator[tuple[int, ...
         yield tuple(sorted([u * x % n for x in members]))
 
 
-def orbit_members(members: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
-    """Distinct unit multiples of a strictly increasing member tuple, each
-    sorted, overall sorted.
+def orbit_members(s: ConnectionSet) -> tuple[tuple[int, ...], ...]:
+    """The member tuples of the distinct unit multiples uS of a connection
+    set, each sorted, overall sorted.
 
     Lists the whole orbit at once, for callers, tests and the check that a
     lifted witness avoids the orbit; the CI scan lists it lazily instead.
     """
-    return tuple(sorted(set(_unit_multiples(members, n))))
+    return tuple(sorted(set(_unit_multiples(s.members, s.n))))
 
 
 def _shifts(s: ConnectionSet) -> tuple[tuple[int, ...], ...]:

@@ -124,7 +124,7 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     # the scan tests S^f inside T, which is S^f = T only when |S| = |T|
     if len(s.members) != len(t.members):
         return IsoVerdict(False, "exhausted")
-    found = solving_set(ks).first_into(s.members, t.members)
+    found = solving_set(ks).first_into(s, t)
     if found is None:
         return IsoVerdict(False, "exhausted")
     rows, image = found
@@ -143,7 +143,7 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     if not s.members:
         return (s,)
     k = key_of_set(s)
-    images = {image for _, image in solving_set(k).images(s.members)}
+    images = {image for _, image in solving_set(k).images(s)}
     return tuple(_mate(s, mem, k) for mem in sorted(images))
 
 
@@ -173,7 +173,7 @@ def _is_ci(s: ConnectionSet, k: Key) -> CiVerdict:
     # listed only as far as the scan needs it; an image still missing when
     # the multiples uS run out is the first image outside the orbit.
     multiples, orbit = _unit_multiples(s.members, s.n), set()
-    for _, image in solving_set(k).images(s.members):
+    for _, image in solving_set(k).images(s):
         while image not in orbit:
             multiple = next(multiples, None)
             if multiple is None:
@@ -210,7 +210,7 @@ def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
     if verdict.is_ci:
         return CiVerdict(True, None, "reduction")
     lifted = _mate(s, _lift(verdict.witness.members, s.n, n_sub), k)
-    if lifted.members in orbit_members(s.members, s.n):
+    if lifted.members in orbit_members(s):
         raise InternalConsistencyError("lifted witness fell inside the unit orbit")
     return CiVerdict(False, lifted, "reduction")
 

@@ -41,8 +41,9 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
+from .cayley import ConnectionSet, _check_pair
 from .keys import Key, _check_rows, _class_picks
-from .zn import DomainError, Factorization, _check_residue, _checked_make
+from .zn import DomainError, Factorization, _checked_make
 
 
 class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
@@ -99,15 +100,8 @@ def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ..
     return list(zip(*[[x // q % p * q * e for x in members] for p, q, e in places]))
 
 
-def _check_residues(xs: Sequence[int], n: int) -> None:
-    # each x is a canonical residue when the least and the greatest are
-    if xs:
-        _check_residue(min(xs), n)
-        _check_residue(max(xs), n)
-
-
 def _layers(
-    members: Sequence[int], k: Key
+    s: ConnectionSet, k: Key
 ) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
     """The one statement of the class action: the members grouped by their
     gcd with n, each layer with one pick (i, a - 1, e) per prime p^t at
@@ -117,17 +111,18 @@ def _layers(
     m[i][a - 1] * e over the picks, as the members' parts at the other
     primes are 0.
 
-    Refuses members that are not canonical residues, or no union of classes
-    of k: the class subgroup H of a layer is cyclic, so x + n / |H| must be
-    a member for each member x of a layer with |H| > 1.  With no such
-    layer, as under the zero key, no member set is built.
+    Refuses a set over another Z_n than k's, or no union of classes of k:
+    the class subgroup H of a layer is cyclic, so x + n / |H| must be a
+    member for each member x of a layer with |H| > 1.  With no such layer,
+    as under the zero key, no member set is built.
     """
     f = k.factorization
     n = f.n
-    _check_residues(members, n)
+    if s.n != n:
+        raise DomainError("connection set is not over the key's Z_n")
     gcd = math.gcd
     by_gcd: dict[int, list[int]] = {}
-    for x in members:
+    for x in s.members:
         d = gcd(x, n)
         if d in by_gcd:
             by_gcd[d].append(x)
@@ -142,7 +137,7 @@ def _layers(
         if size > 1:
             steps.append((xs, n // size))
     if steps:
-        inside = set(members)
+        inside = set(s.members)
         if any((x + step) % n not in inside for xs, step in steps for x in xs):
             raise DomainError("members must be a union of the key's classes")
     return layers
@@ -242,44 +237,43 @@ class SolvingSet:
             yield GenuineMultiplier(rows, self.key)
 
     def images(
-        self, members: tuple[int, ...]
+        self, s: ConnectionSet
     ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
-        """(rows, sorted image of members) per multiplier, in iteration order.
+        """(rows, sorted image of S) per multiplier, in iteration order.
 
-        The members must be residues in 0..n-1 and a union of classes of
-        the key; ``_layers`` checks and groups them once per call, at the
-        call, and a multiplier's images are computed only when the scan
+        S must lie over the key's Z_n and be a union of classes of the
+        key; ``_layers`` checks and groups its members once per call, at
+        the call, and a multiplier's images are computed only when the scan
         reaches it.  Every image lies in Z_n, so no multiplier is dropped.
         """
         n = self.key.factorization.n
         return (
             (rows, tuple(sorted(image)))
             for rows, image in _mapped_into(
-                product(*self._rows), _layers(members, self.key), n, b"\1" * n
+                product(*self._rows), _layers(s, self.key), n, b"\1" * n
             )
         )
 
     def first_into(
-        self, members: tuple[int, ...], target: tuple[int, ...]
+        self, s: ConnectionSet, t: ConnectionSet
     ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-        """(rows, sorted image of members) of the first multiplier, in
-        iteration order, that maps every member into target, or None.
+        """(rows, sorted image of S) of the first multiplier, in iteration
+        order, that maps every member of S into T, or None.
 
-        The members must be residues in 0..n-1 and a union of classes of
-        the key, and the target residues in 0..n-1.  A multiplier is
-        dropped at the first member whose image falls outside target, so a
-        miss costs no full image and no sort; that is exact, since each
-        image u * x lies in the multiplier's image of the members.  The
-        images read are kept, so the hit's image is complete when the scan
-        stops.  Each multiplier is a bijection of Z_n, so when target is as
-        large as members the hit maps members onto target; the caller
-        compares the returned image with target to confirm it.
+        S must lie over the key's Z_n and be a union of classes of the key,
+        and T over the same Z_n in the same mode.  A multiplier is dropped
+        at the first member whose image falls outside T, so a miss costs no
+        full image and no sort; that is exact, since each image u * x lies
+        in the multiplier's image of S.  The images read are kept, so the
+        hit's image is complete when the scan stops.  Each multiplier is a
+        bijection of Z_n, so when T is as large as S the hit maps S onto T;
+        the caller compares the returned image with T to confirm it.
         """
-        layers = _layers(members, self.key)
+        _check_pair(s, t)
+        layers = _layers(s, self.key)
         n = self.key.factorization.n
         inside = bytearray(n)
-        _check_residues(target, n)
-        for y in target:
+        for y in t.members:
             inside[y] = 1
         for rows, image in _mapped_into(product(*self._rows), layers, n, inside):
             return rows, tuple(sorted(image))

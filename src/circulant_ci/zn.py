@@ -37,6 +37,8 @@ def is_prime(p: int) -> bool:
 
 def _check_modulus(n: int) -> None:
     # Z_n with n >= 2 is the domain of every object in the package
+    if type(n) is not int:
+        raise DomainError("modulus must be an int")
     if n < 2:
         raise DomainError("modulus must be at least 2")
 
@@ -106,11 +108,6 @@ def factorize(n: int) -> Factorization:
     if rest > 1:
         parts.append((rest, 1))
     return Factorization(n, tuple(parts))
-
-
-def _check_residue(x: int, n: int) -> None:
-    if not 0 <= x < n:
-        raise DomainError(f"{x} is not a canonical residue mod {n}")
 
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)

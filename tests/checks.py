@@ -80,7 +80,6 @@ from circulant_ci.zn import (
     DomainError,
     Factorization,
     _check_modulus,
-    _check_residue,
     factorize,
     units,
 )
@@ -484,8 +483,9 @@ def check_multiplier_action(n_max: int = 72) -> int:
     """For every key with n <= n_max, every solving-set permutation is a
     bijection carrying key-partition classes onto key-partition classes,
     and both as_permutation and SolvingSet.images agree with
-    multiplier_action_reference: the permutation entry by entry, the images
-    as the multiplier rows and the class images in iteration order.  On
+    multiplier_action_reference: the permutation entry by entry, 0 -> 0
+    too, the images as the multiplier rows and the images of the classes
+    other than {0}, which is no connection set, in iteration order.  On
     seeded coset unions at the ACTION_MODULI, images of the set agree with
     the reference on an evenly spread sample of the solving set."""
     checked = 0
@@ -497,12 +497,14 @@ def check_multiplier_action(n_max: int = 72) -> int:
                 for x in cls:
                     class_of[x] = cls
             ss = solving_set(k)
-            per_class = [ss.images(cls) for cls in pi]
+            # {0}, the class of 0, is no connection set; perm still maps 0 to 0
+            classes = [cls for cls in pi if cls != (0,)]
+            per_class = [ss.images(ConnectionSet(n, cls)) for cls in classes]
             for m, *mapped in zip(ss, *per_class, strict=True):
                 perm = multiplier_action_reference(m.rows, n)
                 assert as_permutation(m) == perm, (n, k, m)
                 assert len(set(perm)) == n, (n, k, m)
-                for cls, (rows, fast) in zip(pi, mapped):
+                for cls, (rows, fast) in zip(classes, mapped):
                     image = tuple(sorted(perm[x] for x in cls))
                     assert rows == m.rows, (n, k, m, rows)
                     assert fast == image, (n, k, m, cls)
@@ -516,7 +518,7 @@ def check_multiplier_action(n_max: int = 72) -> int:
             step = -(-len(ss) // ACTION_MULTIPLIERS_PER_SET)
             sample = zip(
                 islice(ss, 0, None, step),
-                islice(ss.images(s.members), 0, None, step),
+                islice(ss.images(s), 0, None, step),
                 strict=True,
             )
             for m, (rows, fast) in sample:
@@ -564,6 +566,11 @@ def check_genuine_rows_against_reference() -> int:
                 checked += 1
             assert tuple(kept) == _genuine_rows(krow, p, t), (p, t, krow)
     return checked
+
+
+def _check_residue(x: int, n: int) -> None:
+    if not 0 <= x < n:
+        raise DomainError(f"{x} is not a canonical residue mod {n}")
 
 
 def generated_subgroup(members, n: int) -> tuple[int, ...]:
@@ -1015,7 +1022,7 @@ def check_key_enumeration(
         for mem in set(candidates):
             assert key_of_set(ConnectionSet(n, mem, mode)) not in trivial, (cell, mem)
         reference = key_representatives_reference(n, m, mode)
-        sizes = [len(orbit_members(mem, n)) for mem in reference]
+        sizes = [len(orbit_members(ConnectionSet(n, mem, mode))) for mem in reference]
         assert len(set(candidates)) == sum(sizes), cell
         visits = sum(
             size * _nontrivial_rows(n, mem, mode) for mem, size in zip(reference, sizes)
@@ -1123,7 +1130,7 @@ def check_iso_scan_against_reference(n_max: int = 10) -> int:
         for s in unions:
             ss = solving_set(key_of_set(s))
             step = -(-len(ss) // ISO_IMAGES_PER_SET)
-            images = islice(ss.images(s.members), 0, None, step)
+            images = islice(ss.images(s), 0, None, step)
             cases += [(s, ConnectionSet(n, image)) for _, image in images]
     exhausted, non_unit = 0, False
     for s, t in cases:
@@ -1295,6 +1302,9 @@ CI_CHECKS = (
     # every set of size <= 4 inside a proper subgroup, n <= 72: 501 552
     # sets in about 16 s
     ("check_reduced_key", {"n_max": 72, "m_max": 4}, 120),
+    # is_ci against is_ci_reduced on every subset with n <= 18: 262 125
+    # sets in about 35 s
+    ("check_reduction_consistency", {"n_max": 18}, 120),
     # every n <= 3 000 in both modes: 1 927 families in about 18 s
     ("check_witness_boundary", {"n_max": 3000}, 120),
     # every n <= 120 in both modes: 238 cells in about 8 s, the slowest the

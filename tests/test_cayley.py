@@ -37,6 +37,13 @@ def test_connection_set_validation():
     assert ConnectionSet(8, (1, 2, 5)).valency == 3
 
 
+@pytest.mark.parametrize("members", [(1.5,), (True, 2)], ids=["float", "bool"])
+def test_connection_set_members_must_be_ints(members):
+    # a float has multiples outside Z_n, and True would stay a member
+    with pytest.raises(DomainError, match="^connection set members must be ints$"):
+        ConnectionSet(8, members)
+
+
 def _out_sets(g):
     # the out-neighbours that the oracle derives, one set per vertex: under
     # the colouring v -> v, each out-neighbour w of v adds -n^(n - 1 - w) to
@@ -95,11 +102,11 @@ def test_degree_invariants():
 
 def test_aut_orbit_examples():
     # the unit orbit of S, sorted, so its least member comes first
-    assert orbit_members((1, 2, 5), 8) == ((1, 2, 5), (3, 6, 7))
+    assert orbit_members(ConnectionSet(8, (1, 2, 5))) == ((1, 2, 5), (3, 6, 7))
     # a singleton's orbit is all elements of the same order
-    assert orbit_members((2,), 12) == ((2,), (10,))
+    assert orbit_members(ConnectionSet(12, (2,))) == ((2,), (10,))
     # the full set is fixed by every unit
-    assert orbit_members(tuple(range(1, 9)), 9) == (tuple(range(1, 9)),)
+    assert orbit_members(ConnectionSet(9, tuple(range(1, 9)))) == (tuple(range(1, 9)),)
 
 
 def test_representative_idempotent():
@@ -108,9 +115,9 @@ def test_representative_idempotent():
         for _ in range(20):
             size = rng.randint(1, n - 1)
             members = tuple(sorted(rng.sample(range(1, n), size)))
-            rep = orbit_members(members, n)[0]
-            assert members in orbit_members(members, n)
-            assert orbit_members(rep, n)[0] == rep
+            rep = orbit_members(ConnectionSet(n, members))[0]
+            assert members in orbit_members(ConnectionSet(n, members))
+            assert orbit_members(ConnectionSet(n, rep))[0] == rep
 
 
 def test_oracle_examples():

@@ -85,14 +85,14 @@ def test_isomorphism_class_of_z8_witness():
 def test_isomorphism_class_zero_key_is_orbit():
     # the empty set has no key, and is alone in its class, its orbit
     for s in (_cs(12, (1, 5)), _cs(9, (4,)), _cs(12, (), "graph")):
-        orbit = orbit_members(s.members, s.n)
+        orbit = orbit_members(s)
         assert tuple(t.members for t in isomorphism_class(s)) == orbit
 
 
 def test_is_ci_examples():
     v = is_ci(_cs(8, (1, 2, 5)))
     assert not v.is_ci and v.witness.members == (2, 3, 7)
-    assert v.witness.members in orbit_members((1, 5, 6), 8)
+    assert v.witness.members in orbit_members(_cs(8, (1, 5, 6)))
     assert is_ci(_cs(9, (1, 4, 7))).is_ci
     v9 = is_ci(_cs(9, (1, 3, 4, 7)))
     assert not v9.is_ci and v9.witness.members == (2, 3, 5, 8)
@@ -239,7 +239,7 @@ def test_sharp_boundary_at_prime_squares(n, p):
         (family,) = [
             w for w in witnesses(n, mode) if w.family == f"z{p * p}-{families[mode]}"
         ]
-        least = orbit_members(family.connection_set.members, n)[0]
+        least = orbit_members(family.connection_set)[0]
         assert least in {s.members for s, _ in fails.counterexamples}
 
 

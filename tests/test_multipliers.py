@@ -189,18 +189,19 @@ def test_scan_takes_unions_of_classes_only():
     # only for whole classes
     k = Key(factorize(9), ((0, 1),))
     ss = solving_set(k)
+    part = ConnectionSet(9, (1, 4))
     with pytest.raises(DomainError, match="union of the key's classes"):
-        ss.images((1, 4))
+        ss.images(part)
     with pytest.raises(DomainError, match="union of the key's classes"):
-        ss.first_into((1, 4), (2, 5))
-    accepted = (0, 1, 4, 7)
+        ss.first_into(part, ConnectionSet(9, (2, 5)))
+    accepted = ConnectionSet(9, (1, 4, 7))
     expected = [
-        tuple(sorted(multiplier_action_reference(m.rows, 9)[x] for x in accepted))
+        tuple(sorted(multiplier_action_reference(m.rows, 9)[x] for x in accepted.members))
         for m in ss
     ]
     assert [image for _, image in ss.images(accepted)] == expected
-    assert expected == [(0, 1, 4, 7), (0, 2, 5, 8)] * 2
-    assert ss.first_into(accepted, (0, 2, 5, 8)) == (((1, 2),), (0, 2, 5, 8))
+    assert expected == [(1, 4, 7), (2, 5, 8)] * 2
+    assert ss.first_into(accepted, ConnectionSet(9, (2, 5, 8))) == (((1, 2),), (2, 5, 8))
 
 
 def test_scan_checks_a_class_by_one_step_at_two_primes():
@@ -210,34 +211,63 @@ def test_scan_checks_a_class_by_one_step_at_two_primes():
     # the part of order 2, so it is no union of classes
     k = Key(factorize(36), ((0, 1), (0, 1)))
     ss = solving_set(k)
+    part = ConnectionSet(36, (1, 13, 25))
     with pytest.raises(DomainError, match="union of the key's classes"):
-        ss.images((1, 13, 25))
+        ss.images(part)
     with pytest.raises(DomainError, match="union of the key's classes"):
-        ss.first_into((1, 13, 25), (5, 17, 29))
-    whole = (1, 7, 13, 19, 25, 31)
+        ss.first_into(part, ConnectionSet(36, (5, 17, 29)))
+    whole = ConnectionSet(36, (1, 7, 13, 19, 25, 31))
     expected = [
-        tuple(sorted(multiplier_action_reference(m.rows, 36)[x] for x in whole))
+        tuple(sorted(multiplier_action_reference(m.rows, 36)[x] for x in whole.members))
         for m in ss
     ]
     assert [image for _, image in ss.images(whole)] == expected
 
 
 # (members, target) of a scan of Z_8 under the key of (1, 2, 5), with one
-# residue outside 0..7: a target read mod 8, a target past the end of the
-# table, and a member whose multiple is read mod 8
+# residue outside 1..7: a negative target, a target past the end of the
+# table, and a member past n.  The scan takes connection sets, so each is
+# refused when its set is built, before any scan
 OUTSIDE_Z8 = {
-    "negative-target": ((1, 2, 5), (-6, 3, -1), "-6"),
-    "target-past-n": ((1, 2, 5), (1, 2, 9), "9"),
-    "member-past-n": ((1, 2, 5, 13), None, "13"),
+    "negative-target": ((1, 2, 5), (-6, -1, 3)),
+    "target-past-n": ((1, 2, 5), (1, 2, 9)),
+    "member-past-n": ((1, 2, 5, 13), (1, 2, 5)),
 }
 
 
 @pytest.mark.parametrize("case", OUTSIDE_Z8)
 def test_scan_refuses_residues_outside_z_n(case):
-    members, target, bad = OUTSIDE_Z8[case]
+    members, target = OUTSIDE_Z8[case]
     ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
-    with pytest.raises(DomainError, match=f"^{bad} is not a canonical residue mod 8$"):
-        if target is None:
-            ss.images(members)
-        else:
-            ss.first_into(members, target)
+    with pytest.raises(DomainError, match=r"^connection set members must lie in 1\.\.n-1"):
+        ss.first_into(ConnectionSet(8, members), ConnectionSet(8, target))
+
+
+@pytest.mark.parametrize("members", [(5, 1, 1, 2), (5, 1, 2)], ids=["repeated", "unsorted"])
+def test_scan_takes_no_member_tuple(members):
+    # repeated or unsorted members would give images that no set has: the
+    # scan reads its set's modulus, which a bare tuple does not carry, and
+    # a connection set refuses these members before any scan
+    ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
+    with pytest.raises(AttributeError):
+        ss.images(members)
+    with pytest.raises(AttributeError):
+        ss.first_into(members, ConnectionSet(8, (1, 2, 5)))
+    with pytest.raises(DomainError, match="strictly increasing"):
+        ConnectionSet(8, members)
+
+
+def test_scan_refuses_a_set_over_another_z_n():
+    # (1, 3) of Z_4 read under a key of Z_8 would be the set {1, 3} of Z_8
+    ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
+    z4 = ConnectionSet(4, (1, 3))
+    with pytest.raises(DomainError, match="^connection set is not over the key's Z_n$"):
+        ss.images(z4)
+    with pytest.raises(DomainError, match="^connection set is not over the key's Z_n$"):
+        ss.first_into(z4, z4)
+
+
+def test_first_into_refuses_a_target_over_another_z_n():
+    ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
+    with pytest.raises(DomainError, match="live over different Z_n"):
+        ss.first_into(ConnectionSet(8, (1, 2, 5)), ConnectionSet(16, (1, 2, 5)))

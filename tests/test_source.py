@@ -4,6 +4,7 @@ parts: the README examples and the benchmark's lookups by name."""
 import ast
 import doctest
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -348,7 +349,8 @@ INPUT_CHECKS = {
     "rows must be a tuple of tuples": ("keys", "_check_rows"),
     "live over different Z_n": ("cayley", "_check_pair"),
     "union of the key's classes": ("multipliers", "_layers"),
-    "is not a canonical residue": ("zn", "_check_residue"),
+    "not over the key's Z_n": ("multipliers", "_layers"),
+    "modulus must be an int": ("zn", "_check_modulus"),
 }
 
 
@@ -367,6 +369,33 @@ def test_input_checks_stated_once():
             )
         ]
         assert found == [owner], (phrase, found)
+
+
+def test_public_callables_take_connection_sets():
+    # a subset of Z_n crosses the public API only as a ConnectionSet, whose
+    # constructor checks it: no exported function and no public method of
+    # an exported class takes raw members or a raw target.  The records'
+    # constructors build sets from their fields, and are exempt
+    seen, found = [], []
+    for name in circulant_ci.__all__:
+        obj = getattr(circulant_ci, name)
+        if isinstance(obj, type):
+            callables = [
+                (f"{name}.{attr}", fn)
+                for klass in obj.__mro__
+                if klass.__module__.startswith("circulant_ci.")
+                for attr, fn in vars(klass).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+            ]
+        else:
+            callables = [(name, obj)]
+        for qualified, fn in callables:
+            seen.append(qualified)
+            taken = {"members", "target"} & set(inspect.signature(fn).parameters)
+            if taken:
+                found.append((qualified, sorted(taken)))
+    assert {"orbit_members", "SolvingSet.images", "SolvingSet.first_into"} <= set(seen)
+    assert not found, found
 
 
 def _states_scan_condition(node: ast.AST) -> bool:

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from checks import generated_subgroup, order_exponent, subgroup_of_order
+from circulant_ci.cayley import ConnectionSet
 from circulant_ci.zn import DomainError, Factorization, factorize, units
 
 
@@ -19,6 +20,15 @@ def test_factorize_rejects_tiny_moduli():
     for n in (1, 0, -7):
         with pytest.raises(DomainError, match="at least 2"):
             factorize(n)
+
+
+@pytest.mark.parametrize("n", [8.0, True, "8"], ids=["float", "bool", "str"])
+def test_modulus_must_be_an_int(n):
+    # the type is refused before the size, so True is no modulus at all
+    with pytest.raises(DomainError, match="^modulus must be an int$"):
+        Factorization(n, ((2, 3),))
+    with pytest.raises(DomainError, match="^modulus must be an int$"):
+        ConnectionSet(n, ())
 
 
 def test_factorization_validates_parts():
