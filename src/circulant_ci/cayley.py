@@ -34,7 +34,14 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be one of {MODES}")
 
 
+def _check_set(s: ConnectionSet) -> None:
+    if not isinstance(s, ConnectionSet):
+        raise DomainError(f"this call takes a ConnectionSet, not {type(s).__name__}")
+
+
 def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
+    _check_set(s)
+    _check_set(t)
     if s.n != t.n:
         raise DomainError("connection sets live over different Z_n")
     if s.mode != t.mode:
@@ -75,6 +82,7 @@ class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
 def build_cayley(s: ConnectionSet) -> ConnectionSet:
     """Cay(Z_n, S), which is S itself: the arcs (g, g + s) are read off
     the members, so the connection set is returned unchanged."""
+    _check_set(s)
     return s
 
 
@@ -98,6 +106,7 @@ def orbit_members(s: ConnectionSet) -> tuple[tuple[int, ...], ...]:
     Lists the whole orbit at once, for callers, tests and the check that a
     lifted witness avoids the orbit; the CI scan lists it lazily instead.
     """
+    _check_set(s)
     return tuple(sorted(set(_unit_multiples(s.members, s.n))))
 
 

@@ -7,10 +7,10 @@ key, by one unit per gcd layer of S (multipliers states the lemma).  The
 isomorphism scan drops a multiplier at the first member of S it maps
 outside T; each multiplier is a bijection, so
 for |S| = |T| the first one kept is the witness, and sets of different
-sizes are settled before any scan.  CI testing scans the whole solving
-set: S is CI iff every image stays inside the unit orbit of S.  The scan
-lists that orbit only as far as it needs it, taking the multiples uS in
-ascending order of u until the current image is among them.  The sweeps
+sizes are settled before any scan.  S is CI iff every image is a unit
+multiple of S; the CI scan maps S only under the multipliers whose layer
+units no single unit matches (the corollary in multipliers), and lists the
+orbit of S as far as it needs, by the multiples uS in ascending u.  The sweeps
 keep one set per orbit, the one no multiple uS undercuts, and both take
 the multiples from cayley._unit_multiples, the one statement of the unit
 action.
@@ -39,7 +39,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from itertools import combinations, groupby, product, repeat
 
-from .cayley import ConnectionSet, _check_mode, _check_pair, _unit_multiples, orbit_members
+from .cayley import (
+    ConnectionSet, _check_mode, _check_pair, _check_set, _unit_multiples, orbit_members
+)
 from .keys import Key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
 from .zn import (
@@ -140,6 +142,7 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     among connection sets.  Every image is checked to carry the same key.
     The empty set is alone in its class.
     """
+    _check_set(s)
     if not s.members:
         return (s,)
     k = key_of_set(s)
@@ -158,11 +161,12 @@ def _mate(s: ConnectionSet, members: tuple[int, ...], k: Key) -> ConnectionSet:
 
 
 def is_ci(s: ConnectionSet) -> CiVerdict:
-    """Full-scan CI test: CI iff every solving-set image stays in the orbit.
+    """CI by the scan alone: CI iff every solving-set image stays in the orbit.
 
     The witness, when one exists, is the first image outside the orbit in
     enumeration order, which makes reports reproducible.
     """
+    _check_set(s)
     if not s.members:
         return CiVerdict(True)
     return _is_ci(s, key_of_set(s))
@@ -173,7 +177,7 @@ def _is_ci(s: ConnectionSet, k: Key) -> CiVerdict:
     # listed only as far as the scan needs it; an image still missing when
     # the multiples uS run out is the first image outside the orbit.
     multiples, orbit = _unit_multiples(s.members, s.n), set()
-    for _, image in solving_set(k).images(s):
+    for _, image in solving_set(k)._non_unit_images(s):
         while image not in orbit:
             multiple = next(multiples, None)
             if multiple is None:
@@ -190,6 +194,7 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
     multiplying, and the lift is checked to keep the key and avoid the
     orbit.
     """
+    _check_set(s)
     if not s.members:
         return CiVerdict(True)
     return _is_ci_reduced(s, key_of_set(s))
@@ -218,7 +223,7 @@ def _is_ci_reduced(s: ConnectionSet, k: Key) -> CiVerdict:
 def _reduced_key(k: Key, n_sub: int) -> Key:
     rows = {p: row for (p, _), row in zip(k.factorization.parts, k.rows)}
     f = factorize(n_sub)
-    return Key(f, tuple(rows[p][:t] for p, t in f.parts))
+    return Key._unchecked((f, tuple(rows[p][:t] for p, t in f.parts)))
 
 
 def decide_ci(s: ConnectionSet) -> CiVerdict:
@@ -233,6 +238,7 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     order |S|, and 0 not in S keeps it off the subgroup: a single coset
     avoiding 0, which is CI.
     """
+    _check_set(s)
     if not s.members:
         return CiVerdict(True)
     k = key_of_set(s)

@@ -42,7 +42,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .cayley import ConnectionSet
+from .cayley import ConnectionSet, _check_set
 from .zn import DomainError, Factorization, InternalConsistencyError, _checked_make, factorize
 
 
@@ -69,6 +69,7 @@ class Key(namedtuple("Key", "factorization rows")):
 
     __slots__ = ()
     _make = _checked_make
+    _unchecked = classmethod(tuple.__new__)  # for (f, rows) valid by construction
 
     def __new__(cls, factorization: Factorization, rows: tuple[tuple[int, ...], ...]):
         parts = factorization.parts
@@ -146,7 +147,7 @@ def _less(mask: int, step: int, n: int, full: int) -> int:
 def key_of_set(s: ConnectionSet) -> Key:
     """The coarsest key whose partition refines {S, Z_n minus S}, found row
     by row by the stabilizer test on the members of S (see the module
-    docstring).
+    docstring), so its rows are valid and Key._unchecked builds it.
 
     Takes a ConnectionSet, whose constructor has checked n and the members;
     S must be non-empty (it excludes 0), so the complement is never empty.
@@ -155,8 +156,7 @@ def key_of_set(s: ConnectionSet) -> Key:
     non-zero, x + n / p^k lies in S for each x of the class, which is
     exactly "the key partition refines {S, complement}".
     """
-    if not isinstance(s, ConnectionSet):
-        raise DomainError(f"key_of_set takes a ConnectionSet, not {type(s).__name__}")
+    _check_set(s)
     members, n = s.members, s.n
     if not members:
         raise DomainError("key of the empty set is undefined")
@@ -183,4 +183,4 @@ def key_of_set(s: ConnectionSet) -> Key:
             if k and here & ~above & ~_less(mask, n // p**k, n, full):
                 raise InternalConsistencyError("key partition does not refine {S, complement}")
         rows.append(tuple(row))
-    return Key(f, tuple(rows))
+    return Key._unchecked((f, tuple(rows)))

@@ -30,6 +30,14 @@ set of residues, which is exact as u x lies in f(S): ``first_into`` gives
 the target set, so a miss costs no full image, and ``images`` gives all of
 Z_n and sorts each image.  ``as_permutation`` needs the element action,
 ``_digit_terms``, as f(x) and u x differ by a member of H_d.
+
+Corollary: with q_d = n / (d |H_d|), a unit w maps x + H_d onto u_d x + H_d
+iff w = u_d (mod q_d), so f(S) = wS if w = u_d (mod q_d) on every layer of
+S.  By the CRT such a w, prime to n, exists iff u_a = u_b (mod gcd(q_a, q_b))
+for each pair of layers, which holds when that gcd is 1 or 2 (units of an
+even modulus are odd).  So the CI scan, ``SolvingSet._non_unit_images``,
+maps S only under the multipliers that break a pair, and none for S in one
+gcd layer.
 """
 
 from __future__ import annotations
@@ -38,10 +46,10 @@ import math
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from operator import mul
 
-from .cayley import ConnectionSet, _check_pair
+from .cayley import ConnectionSet, _check_pair, _check_set
 from .keys import Key, _check_rows, _class_picks
 from .zn import DomainError, Factorization, _checked_make
 
@@ -102,20 +110,21 @@ def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ..
 
 def _layers(
     s: ConnectionSet, k: Key
-) -> list[tuple[list[int], list[tuple[int, int, int]]]]:
+) -> list[tuple[list[int], list[tuple[int, int, int]], int]]:
     """The one statement of the class action: the members grouped by their
-    gcd with n, each layer with one pick (i, a - 1, e) per prime p^t at
+    gcd d with n, each layer with one pick (i, a - 1, e) per prime p^t at
     which its order exponent a is non-zero: the ``_class_picks`` of its
     order, p's row index and the row entry the layer's unit reads, with the
-    CRT idempotent e of p^t.  The unit of rows m is the sum of
-    m[i][a - 1] * e over the picks, as the members' parts at the other
-    primes are 0.
+    CRT idempotent e of p^t; and with its class modulus n / (d |H|).  The
+    unit of rows m is the sum of m[i][a - 1] * e over the picks, as the
+    members' parts at the other primes are 0.
 
-    Refuses a set over another Z_n than k's, or no union of classes of k:
-    the class subgroup H of a layer is cyclic, so x + n / |H| must be a
-    member for each member x of a layer with |H| > 1.  With no such layer,
-    as under the zero key, no member set is built.
+    Refuses a non-ConnectionSet, a set over another Z_n than k's, or no
+    union of classes of k: a layer's class subgroup H is cyclic, so
+    x + n / |H| must be a member for each member x of a layer with |H| > 1.
+    With no such layer, as under the zero key, no member set is built.
     """
+    _check_set(s)
     f = k.factorization
     n = f.n
     if s.n != n:
@@ -133,7 +142,7 @@ def _layers(
     for d, xs in by_gcd.items():
         # the members of the layer have order n / d
         size, picks = _class_picks(n // d, k)
-        layers.append((xs, [(i, j, idempotents[i]) for i, j in picks]))
+        layers.append((xs, [(i, j, idempotents[i]) for i, j in picks], n // (d * size)))
         if size > 1:
             steps.append((xs, n // size))
     if steps:
@@ -145,7 +154,7 @@ def _layers(
 
 def _mapped_into(
     multipliers: Iterable[tuple[tuple[int, ...], ...]],
-    layers: list[tuple[list[int], list[tuple[int, int, int]]]],
+    layers: list[tuple[list[int], list[tuple[int, int, int]], int]],
     n: int,
     inside: bytes | bytearray,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
@@ -158,7 +167,7 @@ def _mapped_into(
     """
     for rows in multipliers:
         kept = []
-        for xs, picks in layers:
+        for xs, picks, _ in layers:
             u = 0
             for i, j, e in picks:
                 u += rows[i][j] * e
@@ -253,6 +262,24 @@ class SolvingSet:
                 product(*self._rows), _layers(s, self.key), n, b"\1" * n
             )
         )
+
+    def _non_unit_images(
+        self, s: ConnectionSet
+    ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]]:
+        # (rows, sorted image of S), in iteration order, of the multipliers
+        # whose layer units, each computed once, break a pair of the corollary
+        layers = _layers(s, self.key)
+        n = self.key.factorization.n
+        pairs = [
+            (a, b, g)
+            for (a, (*_, qa)), (b, (*_, qb)) in combinations(enumerate(layers), 2)
+            if (g := math.gcd(qa, qb)) > 2
+        ]
+        for rows in product(*self._rows) if pairs else ():
+            units = [sum([rows[i][j] * e for i, j, e in picks]) for _, picks, _ in layers]
+            if any((units[a] - units[b]) % g for a, b, g in pairs):
+                image = [u * x % n for (xs, _, _), u in zip(layers, units) for x in xs]
+                yield rows, tuple(sorted(image))
 
     def first_into(
         self, s: ConnectionSet, t: ConnectionSet

@@ -713,7 +713,10 @@ def check_key_against_reference(n_max: int = 16) -> int:
     )
     checked = 0
     for s in cases:
-        assert key_of_set(s) == key_of_set_reference(s), (s.n, s.members)
+        k = key_of_set(s)
+        assert k == key_of_set_reference(s), (s.n, s.members)
+        # key_of_set builds its key past the checks of Key's constructor
+        assert Key(k.factorization, k.rows) == k, (s.n, s.members)
         checked += 1
     return checked
 
@@ -735,8 +738,12 @@ def check_reduced_key(n_max: int = 48, m_max: int = 4) -> int:
                         continue
                     s = ConnectionSet(n, members)
                     reduced = ConnectionSet(n // g, tuple(x // g for x in members))
-                    truncated = engine._reduced_key(key_of_set(s), n // g)
+                    k = key_of_set(s)
+                    truncated = engine._reduced_key(k, n // g)
                     assert truncated == key_of_set(reduced), (n, members)
+                    # both keys are built past the checks of Key's constructor
+                    assert Key(k.factorization, k.rows) == k, (n, members)
+                    assert Key(truncated.factorization, truncated.rows) == truncated, (n, members)
                     checked += 1
     return checked
 
@@ -1075,6 +1082,45 @@ def check_ci_scan_against_reference(n_max: int = 16) -> int:
     return len(cases)
 
 
+def check_unit_like_multipliers(n_max: int = 16) -> int:
+    """The CI scan's skip against the element action: for every orbit
+    representative with n <= n_max in both modes, and the seeded coset
+    unions up to n = 256, the (rows, image) pairs of the scan,
+    SolvingSet._non_unit_images, are those of solving_set_images_reference
+    in iteration order with some left out, and the image of each multiplier
+    left out lies in the unit orbit of S, listed here from units(n).  The
+    walk must meet multipliers skipped and multipliers mapped."""
+    cases = [
+        ConnectionSet(n, mem, mode)
+        for n in range(2, n_max + 1)
+        for mode in MODES
+        for m in range(1, n)
+        for mem in orbit_representatives(n, m, mode)
+    ]
+    rng = random.Random(SEED)
+    cases += [
+        _coset_union(rng, n) for n in COSET_UNION_MODULI for _ in range(COSET_UNIONS_PER_MODULUS)
+    ]
+    skipped = mapped = 0
+    for s in cases:
+        case = (s.n, s.mode, s.members)
+        k = key_of_set(s)
+        orbit = {tuple(sorted(u * x % s.n for x in s.members)) for u in units(s.n)}
+        scan = solving_set(k)._non_unit_images(s)
+        ahead = next(scan, None)
+        for rows, image in solving_set_images_reference(s.members, k):
+            if ahead is not None and ahead[0] == rows:
+                assert ahead[1] == image, (case, rows)
+                ahead = next(scan, None)
+                mapped += 1
+            else:
+                assert image in orbit, (case, rows)
+                skipped += 1
+        assert ahead is None, case
+    assert skipped > 0 and mapped > 0, (skipped, mapped)
+    return len(cases)
+
+
 def iso_scan_reference(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     """Muzychuk's criterion with the full-image scan: after the key check,
     the sorted image of S under every multiplier of the solving set, in
@@ -1275,6 +1321,10 @@ CI_CHECKS = (
     # coset unions: 119 300 sets, the reference's images by digit terms, in
     # about 45 s
     ("check_ci_scan_against_reference", {"n_max": 20}, 300),
+    # every orbit representative with n <= 20 in both modes and the seeded
+    # coset unions: 119 300 sets, every multiplier's image by digit terms,
+    # in 25-28 s (three runs)
+    ("check_unit_like_multipliers", {"n_max": 20}, 120),
     # 220 008 pairs, the reference's images by digit terms, in about 25 s
     ("check_iso_scan_against_reference", {"n_max": 12}, 120),
     # every m for n <= 20 in both modes, then graph every m and digraph

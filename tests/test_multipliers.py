@@ -246,12 +246,12 @@ def test_scan_refuses_residues_outside_z_n(case):
 @pytest.mark.parametrize("members", [(5, 1, 1, 2), (5, 1, 2)], ids=["repeated", "unsorted"])
 def test_scan_takes_no_member_tuple(members):
     # repeated or unsorted members would give images that no set has: the
-    # scan reads its set's modulus, which a bare tuple does not carry, and
-    # a connection set refuses these members before any scan
+    # scan takes connection sets only, and a connection set refuses these
+    # members before any scan
     ss = solving_set(key_of_set(ConnectionSet(8, (1, 2, 5))))
-    with pytest.raises(AttributeError):
+    with pytest.raises(DomainError, match="takes a ConnectionSet, not tuple"):
         ss.images(members)
-    with pytest.raises(AttributeError):
+    with pytest.raises(DomainError, match="takes a ConnectionSet, not tuple"):
         ss.first_into(members, ConnectionSet(8, (1, 2, 5)))
     with pytest.raises(DomainError, match="strictly increasing"):
         ConnectionSet(8, members)

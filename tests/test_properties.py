@@ -21,6 +21,7 @@ TIER1_CHECKS = (
     "check_key_enumeration",
     "check_orbit_filter",
     "check_ci_scan_against_reference",
+    "check_unit_like_multipliers",
     "check_iso_scan_against_reference",
     "check_witness_boundary",
     "check_first_failure",

@@ -9,7 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import circulant_ci
+from circulant_ci import ConnectionSet, DomainError
 
 SOURCES = sorted(Path(circulant_ci.__file__).parent.glob("*.py"))
 ROOT = Path(__file__).resolve().parent.parent
@@ -276,7 +279,7 @@ def test_unit_action_stated_once():
 def test_multiplier_action_stated_once():
     # outside zn, the CRT idempotents are read by two codes only: the element
     # action, multipliers._digit_terms, which as_permutation uses, and the
-    # class action, multipliers._layers, which the solving-set scan uses
+    # class action, multipliers._layers, which the solving-set scans use
     reads = {
         (path.stem, scope)
         for path, tree in _trees()
@@ -298,6 +301,7 @@ def test_multiplier_action_stated_once():
         "_digit_terms": {("multipliers", "as_permutation")},
         "_layers": {
             ("multipliers", "SolvingSet.images"),
+            ("multipliers", "SolvingSet._non_unit_images"),
             ("multipliers", "SolvingSet.first_into"),
         },
     }, users
@@ -351,6 +355,7 @@ INPUT_CHECKS = {
     "union of the key's classes": ("multipliers", "_layers"),
     "not over the key's Z_n": ("multipliers", "_layers"),
     "modulus must be an int": ("zn", "_check_modulus"),
+    "takes a ConnectionSet, not": ("cayley", "_check_set"),
 }
 
 
@@ -371,31 +376,64 @@ def test_input_checks_stated_once():
         assert found == [owner], (phrase, found)
 
 
+def _public_callables():
+    """(qualified name, function) of every exported function and public
+    method of an exported class."""
+    for name in circulant_ci.__all__:
+        obj = getattr(circulant_ci, name)
+        if isinstance(obj, type):
+            yield from (
+                (f"{name}.{attr}", fn)
+                for klass in obj.__mro__
+                if klass.__module__.startswith("circulant_ci.")
+                for attr, fn in vars(klass).items()
+                if not attr.startswith("_") and inspect.isfunction(fn)
+            )
+        else:
+            yield name, obj
+
+
 def test_public_callables_take_connection_sets():
     # a subset of Z_n crosses the public API only as a ConnectionSet, whose
     # constructor checks it: no exported function and no public method of
     # an exported class takes raw members or a raw target.  The records'
     # constructors build sets from their fields, and are exempt
     seen, found = [], []
-    for name in circulant_ci.__all__:
-        obj = getattr(circulant_ci, name)
-        if isinstance(obj, type):
-            callables = [
-                (f"{name}.{attr}", fn)
-                for klass in obj.__mro__
-                if klass.__module__.startswith("circulant_ci.")
-                for attr, fn in vars(klass).items()
-                if not attr.startswith("_") and inspect.isfunction(fn)
-            ]
-        else:
-            callables = [(name, obj)]
-        for qualified, fn in callables:
-            seen.append(qualified)
-            taken = {"members", "target"} & set(inspect.signature(fn).parameters)
-            if taken:
-                found.append((qualified, sorted(taken)))
+    for qualified, fn in _public_callables():
+        seen.append(qualified)
+        taken = {"members", "target"} & set(inspect.signature(fn).parameters)
+        if taken:
+            found.append((qualified, sorted(taken)))
     assert {"orbit_members", "SolvingSet.images", "SolvingSet.first_into"} <= set(seen)
     assert not found, found
+
+
+def test_bare_tuples_refused_by_one_check():
+    # every public callable annotated to take a ConnectionSet refuses a bare
+    # member tuple in its place with the DomainError of cayley._check_set,
+    # as key_of_set always did, not with the AttributeError of a field
+    # read; a scan refuses at its call, before the first image is read
+    s = ConnectionSet(8, (1, 2, 5))
+    ss = circulant_ci.solving_set(circulant_ci.key_of_set(s))
+    called = []
+    for qualified, fn in _public_callables():
+        params = inspect.signature(fn).parameters
+        taken = [p for p, v in params.items() if v.annotation in ("ConnectionSet", ConnectionSet)]
+        for bare in taken:
+            args = {p: s.members if p == bare else s for p in taken}
+            if "self" in params:
+                args["self"] = ss
+            with pytest.raises(DomainError, match="takes a ConnectionSet, not tuple"):
+                fn(**args)
+            called.append(f"{qualified}({bare})")
+    assert sorted(called) == [
+        "SolvingSet.first_into(s)", "SolvingSet.first_into(t)", "SolvingSet.images(s)",
+        "brute_force_isomorphic(a)", "brute_force_isomorphic(b)",
+        "brute_force_isomorphism(a)", "brute_force_isomorphism(b)", "build_cayley(s)",
+        "decide_ci(s)", "is_ci(s)", "is_ci_reduced(s)", "isomorphism_class(s)",
+        "key_of_set(s)", "muzychuk_isomorphic(s)", "muzychuk_isomorphic(t)",
+        "orbit_members(s)",
+    ], called
 
 
 def _states_scan_condition(node: ast.AST) -> bool:
