@@ -22,11 +22,10 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from operator import lt
 
-from .zn import DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
+from .zn import _INT, DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
 
 MODES = ("digraph", "graph")
 ORACLE_CUTOFF = 12  # the largest n the oracle searches unless its caller says otherwise
-_INT = frozenset((int,))  # the one member type; bool and float are refused
 
 
 def _check_mode(mode: str) -> None:
@@ -61,7 +60,8 @@ class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
     def __new__(cls, n: int, members: tuple[int, ...], mode: str = "digraph"):
         _check_modulus(n)
         _check_mode(mode)
-        if not _INT.issuperset(map(type, members)):
+        # the tuple test first, so the type test maps over a tuple only
+        if isinstance(members, tuple) and not _INT.issuperset(map(type, members)):
             raise DomainError("connection set members must be ints")
         if not isinstance(members, tuple) or not all(map(lt, members, members[1:])):
             raise DomainError("members must be a strictly increasing tuple")

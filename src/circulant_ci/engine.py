@@ -44,12 +44,7 @@ from .cayley import (
 )
 from .keys import Key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
-from .zn import (
-    DomainError,
-    InternalConsistencyError,
-    _check_modulus,
-    factorize,
-)
+from .zn import _INT, DomainError, InternalConsistencyError, _check_modulus, factorize
 
 
 class IsoVerdict(
@@ -255,8 +250,17 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
 
 def _check_nm(n: int, m: int) -> None:
     _check_modulus(n)
+    _check_valency(m)
     if not 1 <= m <= n - 1:
         raise DomainError("valency must lie in 1..n-1")
+
+
+def _check_valency(m: int, mode: str | None = None) -> None:
+    # an int, and for a predicate (a mode given) at least the mode's least m
+    if type(m) not in _INT:
+        raise DomainError("valency must be an int")
+    if mode is not None and m < _LEAST_M[mode]:
+        raise DomainError(f"predicate stated only for m ≥ {_LEAST_M[mode]}")
 
 
 def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
@@ -431,8 +435,7 @@ def _no_square_below(n: int, bound: float) -> bool:
 def predicate_mdci(n: int, m: int) -> bool:
     """Closed form for the cumulative digraph property at valency m:
     n divisible by neither 8 nor p^2 for any odd prime p < m."""
-    if m < _LEAST_M["digraph"]:
-        raise DomainError(f"predicate stated only for m ≥ {_LEAST_M['digraph']}")
+    _check_valency(m, "digraph")
     return _no_square_below(n, m)
 
 
@@ -440,8 +443,7 @@ def predicate_mci(n: int, m: int) -> bool:
     """Closed form for the cumulative graph property at valency m: the three
     exceptional orders, or n divisible by neither 8 nor p^2 for any odd
     prime p < (m-1)/2."""
-    if m < _LEAST_M["graph"]:
-        raise DomainError(f"predicate stated only for m ≥ {_LEAST_M['graph']}")
+    _check_valency(m, "graph")
     return n in _CI_EXCEPTIONS or _no_square_below(n, (m - 1) / 2)
 
 
@@ -522,6 +524,8 @@ def verify_theorems(
     threads is unsafe, so such a caller keeps workers at 1.
     """
     _check_mode(mode)
+    if not _INT.issuperset(map(type, (n_max, m_max, workers))):
+        raise DomainError("n_max, m_max and workers must be ints")
     lo = _LEAST_M[mode]
     tasks = []
     for n in range(2, n_max + 1):

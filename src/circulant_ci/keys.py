@@ -43,13 +43,17 @@ from collections import namedtuple
 from functools import lru_cache
 
 from .cayley import ConnectionSet, _check_set
-from .zn import DomainError, Factorization, InternalConsistencyError, _checked_make, factorize
+from .zn import (
+    _INT, DomainError, Factorization, InternalConsistencyError, _checked_make, factorize
+)
 
 
 def _check_rows(rows, parts: tuple[tuple[int, int], ...], noun: str) -> None:
-    # the shape shared by keys and multipliers: one tuple row per prime power
+    # the shape shared by keys and multipliers: one tuple row of ints per prime power
     if not isinstance(rows, tuple) or not all(isinstance(row, tuple) for row in rows):
         raise DomainError(f"{noun} rows must be a tuple of tuples")
+    if not _INT.issuperset(map(type, sum(rows, ()))):
+        raise DomainError(f"{noun} entries must be ints")
     if len(rows) != len(parts):
         raise DomainError(f"one {noun} row per prime power required")
 
@@ -72,6 +76,8 @@ class Key(namedtuple("Key", "factorization rows")):
     _unchecked = classmethod(tuple.__new__)  # for (f, rows) valid by construction
 
     def __new__(cls, factorization: Factorization, rows: tuple[tuple[int, ...], ...]):
+        if not isinstance(factorization, Factorization):
+            raise DomainError(f"a key takes a Factorization, not {type(factorization).__name__}")
         parts = factorization.parts
         _check_rows(rows, parts, "key")
         for (_, t), row in zip(parts, rows):

@@ -69,6 +69,8 @@ class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
         # imported here, so the CLI's cold start does not load it
         from bisect import bisect_left
 
+        if not isinstance(key, Key):
+            raise DomainError(f"a multiplier takes a Key, not {type(key).__name__}")
         parts = key.factorization.parts
         _check_rows(rows, parts, "multiplier")
         for (p, t), row, krow in zip(parts, rows, key.rows):

@@ -20,24 +20,12 @@ class InternalConsistencyError(RuntimeError):
     """A theory-backed runtime check failed: a bug, not bad input."""
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+_INT = frozenset((int,))  # the one integer type; bool and float are refused
 
 
 def _check_modulus(n: int) -> None:
     # Z_n with n >= 2 is the domain of every object in the package
-    if type(n) is not int:
+    if type(n) not in _INT:
         raise DomainError("modulus must be an int")
     if n < 2:
         raise DomainError("modulus must be at least 2")
@@ -52,27 +40,18 @@ class Factorization(namedtuple("Factorization", "n parts")):
     """Ordered prime-power decomposition n = p1^t1 * ... * pl^tl.
 
     Primes ascend strictly; every tuple structure downstream (keys,
-    multipliers, CRT idempotents) inherits this order.
+    multipliers, CRT idempotents) inherits this order.  ``factorize`` is
+    its one statement: the constructor accepts exactly the parts that
+    ``factorize(n)`` builds, a tuple of tuples of ints.
     """
 
     __slots__ = ()
     _make = _checked_make
+    _unchecked = classmethod(tuple.__new__)  # for factorize alone
 
     def __new__(cls, n: int, parts: tuple[tuple[int, int], ...]):
-        _check_modulus(n)
-        prod = 1
-        prev = 1
-        for p, t in parts:
-            if not is_prime(p):
-                raise DomainError(f"{p} is not prime")
-            if p <= prev:
-                raise DomainError("primes must be strictly ascending")
-            if t < 1:
-                raise DomainError("exponents must be at least 1")
-            prev = p
-            prod *= p**t
-        if prod != n:
-            raise DomainError(f"prime powers multiply to {prod}, not {n}")
+        if parts != factorize(n).parts or not _INT.issuperset(map(type, sum(parts, ()))):
+            raise DomainError(f"{parts!r} is not the factorization of {n}")
         return super().__new__(cls, n, parts)
 
     @property
@@ -92,8 +71,9 @@ MODULUS_CACHE_SIZE = 256
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)
 def factorize(n: int) -> Factorization:
-    """Unique ordered factorization by trial division; Factorization
-    refuses n < 2."""
+    """Unique ordered factorization by trial division, the one statement
+    of it: refuses a modulus that is not an int of at least 2."""
+    _check_modulus(n)
     parts = []
     rest = n
     p = 2
@@ -107,7 +87,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if rest > 1:
         parts.append((rest, 1))
-    return Factorization(n, tuple(parts))
+    return Factorization._unchecked((n, tuple(parts)))
 
 
 @lru_cache(maxsize=MODULUS_CACHE_SIZE)

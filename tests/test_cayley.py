@@ -18,7 +18,7 @@ from circulant_ci.cayley import (
     orbit_members,
 )
 from circulant_ci.engine import orbit_representatives
-from circulant_ci.zn import DomainError, units
+from circulant_ci.zn import DomainError, InternalConsistencyError, units
 
 
 def test_connection_set_validation():
@@ -41,6 +41,13 @@ def test_connection_set_validation():
 def test_connection_set_members_must_be_ints(members):
     # a float has multiples outside Z_n, and True would stay a member
     with pytest.raises(DomainError, match="^connection set members must be ints$"):
+        ConnectionSet(8, members)
+
+
+@pytest.mark.parametrize("members", [5, None], ids=["int", "none"])
+def test_connection_set_members_must_be_a_tuple(members):
+    # the tuple test runs first, so no type test maps over a non-iterable
+    with pytest.raises(DomainError, match="^members must be a strictly increasing tuple$"):
         ConnectionSet(8, members)
 
 
@@ -208,6 +215,17 @@ def test_oracle_witness_mapping_is_arc_preserving():
     a_out, b_out = out_neighbours(a), out_neighbours(b)
     for g in range(8):
         assert {mapping[x] for x in a_out[g]} == b_out[mapping[g]]
+
+
+def test_oracle_checks_the_arcs_of_its_mapping(monkeypatch):
+    # a refinement made to return a discrete colouring that swaps 1 and 2 of
+    # the 5-cycle: the mapping it gives takes the arc (0, 1) to (0, 2)
+    monkeypatch.setattr(
+        cayley, "_joint_refinement", lambda a, b, ca, cb: ([0, 1, 2, 3, 4], [0, 2, 1, 3, 4])
+    )
+    c5 = build_cayley(ConnectionSet(5, (1,)))
+    with pytest.raises(InternalConsistencyError, match="does not preserve the arcs"):
+        brute_force_isomorphism(c5, c5)
 
 
 def test_oracle_cutoff_refusal():

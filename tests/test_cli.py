@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from circulant_ci import engine
 from circulant_ci.cli import _finish_reports, main
 from circulant_ci.engine import ClassificationReport
 from record_cli_golden import GOLDEN, argv_lists, check
@@ -49,6 +50,14 @@ def test_iso_oracle_agreement(capsys):
     assert code == 0 and "agree: true" in out
     code, out, _ = run(capsys, "iso", "8", "1,2,5", "1,2,3", "--oracle")
     assert code == 0 and "agree: true" in out
+
+
+def test_iso_oracle_disagreement_exits_3(capsys, monkeypatch):
+    # an oracle made to find no isomorphism where the criterion finds one
+    monkeypatch.setattr("circulant_ci.cli.brute_force_isomorphism", lambda s, t, **kw: None)
+    code, out, _ = run(capsys, "iso", "8", "1,2,5", "2,3,7", "--oracle")
+    assert code == 3
+    assert out.splitlines()[-1] == "oracle: not isomorphic, agree: false"
 
 
 def test_iso_oracle_cutoff_refusal(capsys):
@@ -187,6 +196,24 @@ def test_disagreement_dump(tmp_path, capsys):
     assert "DISAGREE" in captured.out
     assert str(path) in captured.err
     assert json.loads(path.read_text())["rows"][0]["agree"] is False
+
+
+def test_verify_dumps_a_disagreement(tmp_path, capsys, monkeypatch):
+    # the predicate made wrong at n = 8: verify_theorems raises
+    # DisagreementError, and the command prints every report it carries,
+    # dumps the disagreeing one and exits 3
+    right = engine.predicate_mdci
+    monkeypatch.setattr(engine, "predicate_mdci", lambda n, m: right(n, m) != (n == 8))
+    path = tmp_path / "dump.json"
+    code, out, err = run(capsys, "verify", "--n-max", "8", "--m-max", "3", "--dump", str(path))
+    assert code == 3
+    lines = out.splitlines()
+    assert len(lines) == 5 and lines[-1] == (
+        "n=8 m=3 digraph: property false, predicate true, DISAGREE, counterexamples: 2"
+    )
+    assert str(path) in err
+    rows = json.loads(path.read_text())["rows"]
+    assert [(row["n"], row["agree"]) for row in rows] == [(8, False)]
 
 
 def test_unwritable_dump_keeps_exit_3(tmp_path, capsys):

@@ -14,6 +14,7 @@ from circulant_ci.cayley import ConnectionSet, orbit_members
 from circulant_ci.multipliers import as_permutation, solving_set
 from circulant_ci.engine import (
     CiVerdict,
+    DisagreementError,
     decide_ci,
     is_ci,
     is_ci_reduced,
@@ -66,6 +67,16 @@ def test_muzychuk_domain_errors():
         muzychuk_isomorphic(_cs(8, (1, 7), "graph"), _cs(8, (1, 7), "digraph"))
 
 
+def test_muzychuk_checks_that_the_hit_maps_onto_t(monkeypatch):
+    # a scan hit whose image is not T must not pass as the witness
+    monkeypatch.setattr(
+        "circulant_ci.multipliers.SolvingSet.first_into",
+        lambda self, s, t: (((1, 1, 3),), (2, 3)),
+    )
+    with pytest.raises(InternalConsistencyError, match="maps S into T, not onto T"):
+        muzychuk_isomorphic(_cs(8, (1, 2, 5)), _cs(8, (2, 3, 7)))
+
+
 def test_muzychuk_exhausted_for_equal_keys():
     # both keys are zero, but no permutation can match different valencies
     v = muzychuk_isomorphic(_cs(12, (1,)), _cs(12, (1, 5)))
@@ -108,6 +119,7 @@ def test_is_ci_reduced_examples():
     assert is_ci_reduced(_cs(8, (1, 2, 5))) == is_ci(_cs(8, (1, 2, 5)))
     v12 = is_ci_reduced(_cs(12, (4, 8)))
     assert v12.is_ci and v12.fast_path == "reduction"
+    assert is_ci_reduced(_cs(8, ())) == CiVerdict(True)  # the empty set, as in is_ci
 
 
 def test_coset_shape_examples():
@@ -324,6 +336,31 @@ def test_predicate_examples():
             assert predicate_mci(n, m) == expected, (n, m)
 
 
+# a call with a valency or a sweep argument that is not an int, and its
+# refusal; each raised TypeError, or answered, before
+NON_INT_ARGUMENTS = {
+    "m-property-float": (lambda: m_property(8, 2.5), "^valency must be an int$"),
+    "m-property-str": (lambda: m_property(8, "3"), "^valency must be an int$"),
+    "is-m-group-float": (lambda: is_m_group(9, 3.0), "^valency must be an int$"),
+    "is-m-group-bool": (lambda: is_m_group(8, True), "^valency must be an int$"),
+    "orbit-representatives-float": (
+        lambda: orbit_representatives(8, 2.0), "^valency must be an int$"
+    ),
+    "predicate-mdci-float": (lambda: predicate_mdci(9, 3.5), "^valency must be an int$"),
+    "predicate-mci-float": (lambda: predicate_mci(9, 6.5), "^valency must be an int$"),
+    "verify-float-n-max": (lambda: verify_theorems(8.0, 4), "must be ints$"),
+    "verify-str-m-max": (lambda: verify_theorems(8, "4"), "must be ints$"),
+    "verify-str-workers": (lambda: verify_theorems(8, 4, workers="2"), "must be ints$"),
+}
+
+
+@pytest.mark.parametrize("case", NON_INT_ARGUMENTS)
+def test_valencies_and_sweep_bounds_must_be_ints(case):
+    call, message = NON_INT_ARGUMENTS[case]
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_predicate_ranges_rejected():
     with pytest.raises(DomainError, match="m"):
         predicate_mdci(12, 2)
@@ -350,6 +387,12 @@ def test_witness_families():
         witnesses(0, "graph")
 
 
+def test_witnesses_checks_each_family_is_non_ci(monkeypatch):
+    monkeypatch.setattr(engine, "is_ci_reduced", lambda s: CiVerdict(True))
+    with pytest.raises(InternalConsistencyError, match="z8-lift unexpectedly CI for n=8"):
+        witnesses(8)
+
+
 def test_witnesses_applicable_ranges():
     for n in range(2, 101):
         applicable = n % 8 == 0 or any(
@@ -363,6 +406,18 @@ def test_witnesses_applicable_ranges():
             or any(p >= 5 and t >= 2 for p, t in factorize(n).parts)
         )
         assert bool(witnesses(n, "graph")) == applicable
+
+
+def test_verify_theorems_raises_on_a_disagreement(monkeypatch):
+    # the predicate made wrong at n = 8 alone: every report comes back with
+    # the error, the one at n = 8 disagreeing
+    right = engine.predicate_mdci
+    monkeypatch.setattr(engine, "predicate_mdci", lambda n, m: right(n, m) != (n == 8))
+    with pytest.raises(DisagreementError, match="^1 cell\\(s\\) disagree") as exc:
+        verify_theorems(8, 3)
+    assert [(r.n, r.agreement) for r in exc.value.reports] == [
+        (4, True), (5, True), (6, True), (7, True), (8, False)
+    ]
 
 
 def test_verify_theorems_small():

@@ -14,9 +14,10 @@ from checks import (
     key_leq,
     refines,
 )
+from circulant_ci import keys
 from circulant_ci.cayley import ConnectionSet
 from circulant_ci.keys import Key, key_of_set, key_partition, zero_key
-from circulant_ci.zn import DomainError, Factorization, factorize, units
+from circulant_ci.zn import DomainError, Factorization, InternalConsistencyError, factorize, units
 
 
 def _key(n, *rows):
@@ -114,7 +115,7 @@ def test_key_partition_prime_power_examples():
         (4,),
         (6,),
     )
-    with pytest.raises(DomainError, match="not prime"):
+    with pytest.raises(DomainError, match="is not the factorization of 16"):
         Factorization(16, ((4, 2),))
 
 
@@ -158,6 +159,20 @@ def test_key_of_set_examples():
         f = factorize(n)
         largest = Key(f, tuple(tuple(range(t)) for _, t in f.parts))
         assert key_of_set(ConnectionSet(n, tuple(range(1, n)))) == largest
+
+
+def test_key_of_set_checks_its_key(monkeypatch):
+    # the first stabilizer test made to pass: {1, 2, 5} of Z_8 gets the row
+    # (0, 1, 1) in place of (0, 0, 1), whose class {2, 6} leaves S at 6
+    real, calls = keys._less, []
+
+    def first_lies(mask, step, n, full):
+        calls.append(step)
+        return full if len(calls) == 1 else real(mask, step, n, full)
+
+    monkeypatch.setattr(keys, "_less", first_lies)
+    with pytest.raises(InternalConsistencyError, match="does not refine"):
+        key_of_set(ConnectionSet(8, (1, 2, 5)))
 
 
 def test_unit_singletons_have_zero_key():

@@ -12,6 +12,7 @@ import pytest
 import checks
 
 TIER1_CHECKS = (
+    "check_factorization_against_reference",
     "check_key_against_lattice",
     "check_key_against_reference",
     "check_reduced_key",

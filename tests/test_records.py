@@ -11,7 +11,10 @@ from circulant_ci import (
     ConnectionSet,
     CiVerdict,
     DomainError,
+    Factorization,
+    GenuineMultiplier,
     IsoVerdict,
+    Key,
     decide_ci,
     factorize,
     key_of_set,
@@ -39,7 +42,7 @@ RECORDS = {
 # a field of each validated record, a value its constructor refuses, and
 # the refusal
 INVALID = {
-    "Factorization": ("parts", ((2, 3),), "multiply to 8, not 72"),
+    "Factorization": ("parts", ((2, 3),), "is not the factorization of 72"),
     "ConnectionSet": ("members", (0,), "0 is excluded"),
     "Key": ("rows", ((0, 1, 0),), "nondecreasing"),
     "GenuineMultiplier": ("rows", ((2, 1, 1),), "genuine range"),
@@ -131,3 +134,39 @@ def test_make_and_replace_run_the_constructor_checks(name):
     with pytest.raises(DomainError, match=message):
         type(record)._make(fields)
     assert record._replace() == record and type(record._replace()) is type(record)
+
+
+# a constructor call with an entry or a field of the wrong type, and its
+# refusal; each was accepted, or failed later or with another error, before
+WRONG_TYPES = {
+    "factorization-list-parts": (
+        lambda: Factorization(12, [(2, 2), (3, 1)]), "is not the factorization of 12"
+    ),
+    "factorization-float-prime": (
+        lambda: Factorization(4, ((2.0, 2),)), "is not the factorization of 4"
+    ),
+    "factorization-bool-exponent": (
+        lambda: Factorization(2, ((2, True),)), "is not the factorization of 2"
+    ),
+    "key-float-entry": (lambda: Key(factorize(4), ((0, 0.5),)), "^key entries must be ints$"),
+    "key-bool-entry": (lambda: Key(factorize(4), ((0, True),)), "^key entries must be ints$"),
+    "key-tuple-factorization": (
+        lambda: Key((4, ((2, 2),)), ((0, 1),)), "^a key takes a Factorization, not tuple$"
+    ),
+    "multiplier-float-entry": (
+        lambda: GenuineMultiplier(((1.0, 1, 1),), K), "^multiplier entries must be ints$"
+    ),
+    "multiplier-bool-entry": (
+        lambda: GenuineMultiplier(((True, 1, 1),), K), "^multiplier entries must be ints$"
+    ),
+    "multiplier-tuple-key": (
+        lambda: GenuineMultiplier(((1, 1, 1),), tuple(K)), "^a multiplier takes a Key, not tuple$"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_constructors_refuse_wrong_types(case):
+    build, message = WRONG_TYPES[case]
+    with pytest.raises(DomainError, match=message):
+        build()

@@ -356,6 +356,13 @@ INPUT_CHECKS = {
     "not over the key's Z_n": ("multipliers", "_layers"),
     "modulus must be an int": ("zn", "_check_modulus"),
     "takes a ConnectionSet, not": ("cayley", "_check_set"),
+    "is not the factorization of": ("zn", "Factorization.__new__"),
+    "connection set members must be ints": ("cayley", "ConnectionSet.__new__"),
+    "entries must be ints": ("keys", "_check_rows"),
+    "takes a Factorization, not": ("keys", "Key.__new__"),
+    "takes a Key, not": ("multipliers", "GenuineMultiplier.__new__"),
+    "valency must be an int": ("engine", "_check_valency"),
+    "n_max, m_max and workers must be ints": ("engine", "verify_theorems"),
 }
 
 
@@ -374,6 +381,73 @@ def test_input_checks_stated_once():
             )
         ]
         assert found == [owner], (phrase, found)
+
+
+def _calls(tree: ast.AST, dotted: str):
+    """(qualified enclosing function or class, line) of every call of the
+    name or attribute chain `dotted`, such as "Factorization._unchecked"."""
+    return _scoped(
+        tree, lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == dotted
+    )
+
+
+def test_factorization_stated_once():
+    # zn.factorize is the one statement of n's factorization: it alone builds
+    # a Factorization, past the checks, and nothing in the package calls the
+    # checked constructor, which accepts exactly the parts factorize builds;
+    # no module keeps a primality test of its own
+    builders = {
+        (name, path.stem, scope)
+        for path, tree in _trees()
+        for name in ("Factorization", "Factorization._unchecked")
+        for scope, _ in _calls(tree, name)
+    }
+    assert builders == {("Factorization._unchecked", "zn", "factorize")}, builders
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "is_prime"
+    ]
+    assert not defined, defined
+
+
+def _type_tests(tree: ast.AST):
+    """(source, whether it reads _INT) of each type test in `tree`: a
+    comparison with type(...) on a side, a call given map(type, ...), and an
+    isinstance(...) that names int, bool or float."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            sides = [ast.unparse(side) for side in (node.left, *node.comparators)]
+            if any(side.startswith("type(") for side in sides):
+                yield ast.unparse(node), "_INT" in sides
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if any(ast.unparse(arg).startswith("map(type, ") for arg in node.args):
+                yield ast.unparse(node), func == "_INT.issuperset"
+            if func == "isinstance" and {"int", "bool", "float"} & {
+                name.id for name in ast.walk(node.args[1]) if isinstance(name, ast.Name)
+            }:
+                yield ast.unparse(node), False
+
+
+def test_int_type_stated_once():
+    # zn._INT is the one statement of the integer type: zn alone defines it,
+    # and every type test in the package reads it
+    tests = [
+        (path.stem, test) for path, tree in _trees() for test, reads in _type_tests(tree)
+        if not reads
+    ]
+    assert not tests, tests
+    testing = {path.stem for path, tree in _trees() if any(_type_tests(tree))}
+    assert testing == {"zn", "cayley", "keys", "engine"}, testing
+    defined = [
+        path.stem
+        for path, tree in _trees()
+        for node in tree.body
+        if isinstance(node, ast.Assign) and "_INT" in map(ast.unparse, node.targets)
+    ]
+    assert defined == ["zn"], defined
 
 
 def _public_callables():

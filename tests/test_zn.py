@@ -29,6 +29,13 @@ def test_modulus_must_be_an_int(n):
         Factorization(n, ((2, 3),))
     with pytest.raises(DomainError, match="^modulus must be an int$"):
         ConnectionSet(n, ())
+    # Factorization leaves its modulus check to factorize, whose cache keys
+    # the int 8 by itself and 8.0 by a tuple, so 8.0 never reads 8's entry
+    factorize(8), units(8)
+    with pytest.raises(DomainError, match="^modulus must be an int$"):
+        factorize(n)
+    with pytest.raises(DomainError, match="^modulus must be an int$"):
+        units(n)
 
 
 def test_factorization_validates_parts():
@@ -38,6 +45,15 @@ def test_factorization_validates_parts():
         Factorization(12, ((3, 1), (2, 2)))  # primes out of order
     with pytest.raises(DomainError):
         Factorization(8, ((8, 1),))  # not prime
+
+
+def test_factorization_accepts_exactly_what_factorize_builds():
+    for n in (2, 12, 72, 97, 1000):
+        built = Factorization(n, factorize(n).parts)
+        assert built == factorize(n) and type(built) is Factorization
+    for parts in ([(2, 2), (3, 1)], ((2, 2), [3, 1]), ((2, 2), (3.0, 1)), ((2, 2), (3, True))):
+        with pytest.raises(DomainError, match="is not the factorization of 12"):
+            Factorization(12, parts)
 
 
 def test_idempotents_examples():
