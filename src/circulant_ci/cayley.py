@@ -33,6 +33,13 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be one of {MODES}")
 
 
+def _check_cutoff(cutoff: int) -> None:
+    if type(cutoff) not in _INT:
+        raise DomainError("oracle_cutoff must be an int")
+    if cutoff < 2:
+        raise DomainError("oracle_cutoff must be at least 2")
+
+
 def _check_set(s: ConnectionSet) -> None:
     if not isinstance(s, ConnectionSet):
         raise DomainError(f"this call takes a ConnectionSet, not {type(s).__name__}")
@@ -223,6 +230,7 @@ def brute_force_isomorphism(
     every candidate w is tried; no branch is cut for any other reason.
     """
     _check_pair(a, b)
+    _check_cutoff(oracle_cutoff)
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")

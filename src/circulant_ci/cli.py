@@ -22,9 +22,10 @@ from .cayley import (
     ORACLE_CUTOFF,
     ConnectionSet,
     OracleCutoffError,
+    _check_cutoff,
     brute_force_isomorphism,
 )
-from .engine import ClassificationReport, DisagreementError
+from .engine import ClassificationReport, DisagreementError, _check_workers
 from .keys import key_of_set, key_partition
 from .zn import DomainError, _check_modulus
 
@@ -297,10 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.oracle_cutoff < 2:
-            raise DomainError("oracle_cutoff must be at least 2")
-        if args.workers < 1:
-            raise DomainError("workers must be at least 1")
+        _check_cutoff(args.oracle_cutoff)
+        _check_workers(args.workers)
         return args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

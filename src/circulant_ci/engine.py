@@ -263,6 +263,11 @@ def _check_valency(m: int, mode: str | None = None) -> None:
         raise DomainError(f"predicate stated only for m ≥ {_LEAST_M[mode]}")
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
+
+
 def connection_set_tuples(n: int, m: int, mode: str) -> Iterator[tuple[int, ...]]:
     """All member tuples of size m (graph mode: inverse-closed only)."""
     if mode == "digraph":
@@ -444,7 +449,7 @@ def predicate_mci(n: int, m: int) -> bool:
     exceptional orders, or n divisible by neither 8 nor p^2 for any odd
     prime p < (m-1)/2."""
     _check_valency(m, "graph")
-    return n in _CI_EXCEPTIONS or _no_square_below(n, (m - 1) / 2)
+    return _no_square_below(n, (m - 1) / 2) or n in _CI_EXCEPTIONS
 
 
 def predicate_dci_group(n: int) -> bool:
@@ -454,7 +459,7 @@ def predicate_dci_group(n: int) -> bool:
 
 def predicate_ci_group(n: int) -> bool:
     """The DCI condition relaxed by the three exceptional orders."""
-    return n in _CI_EXCEPTIONS or _no_square_below(n, math.inf)
+    return _no_square_below(n, math.inf) or n in _CI_EXCEPTIONS
 
 
 def _lift(members: Iterable[int], n: int, q: int) -> tuple[int, ...]:
@@ -472,6 +477,7 @@ def witnesses(n: int, mode: str = "digraph") -> tuple[WitnessFamily, ...]:
     orders): the valency-6 set for 8 | n, the valency-8 set for 9 | n, and
     the lifted double-coset set over Z_{p^2} for primes p >= 5.
     """
+    _check_modulus(n)
     _check_mode(mode)
     families: list[tuple[str, tuple[int, ...]]] = []
     if mode == "digraph":
@@ -521,11 +527,15 @@ def verify_theorems(
     must not pass silently).  Worker count never changes the result: each
     modulus is one task, the forked workers take the largest first, and
     the reports come back in task order.  Forking a process that runs
-    threads is unsafe, so such a caller keeps workers at 1.
+    threads is unsafe, so such a caller keeps workers at 1.  An empty
+    range is an answer, not a refusal: with n_max < 2, or m_max below the
+    mode's least m (3 for digraphs, 6 for graphs), there is no cell and the
+    result is ().
     """
     _check_mode(mode)
     if not _INT.issuperset(map(type, (n_max, m_max, workers))):
         raise DomainError("n_max, m_max and workers must be ints")
+    _check_workers(workers)
     lo = _LEAST_M[mode]
     tasks = []
     for n in range(2, n_max + 1):

@@ -69,6 +69,11 @@ CASES = (
     ["witness", "9"],
     ["witness", "30"],
     ["witness", "600", "--mode", "graph"],
+    # refusals: a modulus and a residue outside the domain (exit 2), and a
+    # modulus past the oracle cutoff (exit 4), each with empty stdout
+    ["witness", "1"],
+    ["ci", "8", "0"],
+    ["iso", "13", "1", "1", "--oracle"],
 )
 
 SWEEPS = (

@@ -5,8 +5,11 @@ import ast
 import doctest
 import importlib
 import inspect
+import reprlib
 import subprocess
 import sys
+from collections import namedtuple
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -362,7 +365,12 @@ INPUT_CHECKS = {
     "takes a Factorization, not": ("keys", "Key.__new__"),
     "takes a Key, not": ("multipliers", "GenuineMultiplier.__new__"),
     "valency must be an int": ("engine", "_check_valency"),
+    "predicate stated only for m ≥": ("engine", "_check_valency"),
+    "valency must lie in 1..n-1": ("engine", "_check_nm"),
     "n_max, m_max and workers must be ints": ("engine", "verify_theorems"),
+    "workers must be at least 1": ("engine", "_check_workers"),
+    "oracle_cutoff must be an int": ("cayley", "_check_cutoff"),
+    "oracle_cutoff must be at least 2": ("cayley", "_check_cutoff"),
 }
 
 
@@ -508,6 +516,109 @@ def test_bare_tuples_refused_by_one_check():
         "key_of_set(s)", "muzychuk_isomorphic(s)", "muzychuk_isomorphic(t)",
         "orbit_members(s)",
     ], called
+
+
+IntDomain = namedtuple("IntDomain", "valid not_int least_invalid below")
+StrDomain = namedtuple("StrDomain", "valid refused near_miss not_str")
+# a value outside a parameter's range that its callable takes on purpose,
+# with the reason and the answer it gives
+Accepted = namedtuple("Accepted", "reason answer")
+
+# the domain of every int and str parameter of a public callable, stated
+# once per parameter name; a name whose domain narrows in one callable is
+# listed again as "callable.name".  An IntDomain gives the valid values,
+# the refusal of a value that is not an int, the least invalid int and its
+# refusal or acceptance; a StrDomain gives the valid values, the refusal,
+# a near-miss string and a non-string.  Each refusal is a phrase of
+# INPUT_CHECKS, so it names the one check that owns the parameter.
+ARGUMENT_DOMAINS = {
+    "n": IntDomain((8, 9, 18), "modulus must be an int", 1, "modulus must be at least 2"),
+    "m": IntDomain((3,), "valency must be an int", 0, "valency must lie in 1..n-1"),
+    "predicate_mdci.m": IntDomain(
+        (3,), "valency must be an int", 2, "predicate stated only for m ≥"
+    ),
+    "predicate_mci.m": IntDomain(
+        (6, 7), "valency must be an int", 5, "predicate stated only for m ≥"
+    ),
+    "n_max": IntDomain(
+        (10,), "n_max, m_max and workers must be ints", 1,
+        Accepted("empty range: no modulus n with 2 <= n <= n_max", ()),
+    ),
+    "m_max": IntDomain(
+        (4,), "n_max, m_max and workers must be ints", 2,
+        Accepted("empty range: below the least m of either mode", ()),
+    ),
+    "workers": IntDomain(
+        (1,), "n_max, m_max and workers must be ints", 0, "workers must be at least 1"
+    ),
+    "oracle_cutoff": IntDomain(
+        (12,), "oracle_cutoff must be an int", 1, "oracle_cutoff must be at least 2"
+    ),
+    "mode": StrDomain(("digraph", "graph"), "mode must be one of", "Graph", b"graph"),
+}
+
+
+def _probes(domain):
+    """(value, refusal phrase or Accepted) of each probe of a domain: each
+    valid value as a float, a bool, the first as a string and the least
+    invalid int; or a near-miss string and a non-string."""
+    if isinstance(domain, StrDomain):
+        return [(domain.near_miss, domain.refused), (domain.not_str, domain.refused)]
+    return [
+        *[(float(v), domain.not_int) for v in domain.valid],
+        (True, domain.not_int),
+        (str(domain.valid[0]), domain.not_int),
+        (domain.least_invalid, domain.below),
+    ]
+
+
+def test_public_arguments_refused_by_their_owners():
+    # every int and str parameter of every public callable is named in
+    # ARGUMENT_DOMAINS, and each probe of it, the other arguments valid in
+    # every combination, raises the DomainError of the check that owns it
+    # or, where the table says so, gives the accepted answer
+    s = ConnectionSet(8, (1, 2, 5))
+    unnamed, wrong, used = [], [], set()
+    for qualified, fn in _public_callables():
+        valid, domains = {}, {}
+        for p, v in inspect.signature(fn).parameters.items():
+            if v.annotation == "ConnectionSet":
+                valid[p] = (s,)
+            elif v.annotation in ("int", "str"):
+                name = next((k for k in (f"{qualified}.{p}", p) if k in ARGUMENT_DOMAINS), None)
+                if name is None:
+                    unnamed.append(f"{qualified}({p})")
+                    continue
+                used.add(name)
+                domains[p] = ARGUMENT_DOMAINS[name]
+                valid[p] = domains[p].valid
+        for p, domain in domains.items():
+            others = [q for q in valid if q != p]
+            for value, outcome in _probes(domain):
+                for rest in product(*map(valid.get, others)):
+                    args = {**dict(zip(others, rest)), p: value}
+                    call = f"{qualified}({', '.join(f'{q}={v!r}' for q, v in args.items())})"
+                    try:
+                        got = fn(**args)
+                    except DomainError as exc:
+                        if isinstance(outcome, Accepted) or outcome not in str(exc):
+                            wrong.append(f"{call}: DomainError {exc}")
+                        continue
+                    except Exception as exc:
+                        wrong.append(f"{call}: {type(exc).__name__} {exc}")
+                        continue
+                    if not isinstance(outcome, Accepted) or got != outcome.answer:
+                        wrong.append(f"{call}: returned {reprlib.repr(got)}")
+    assert not unnamed, unnamed
+    assert not wrong, wrong
+    assert used == set(ARGUMENT_DOMAINS), sorted(set(ARGUMENT_DOMAINS) - used)
+    phrases = {
+        outcome
+        for domain in ARGUMENT_DOMAINS.values()
+        for _, outcome in _probes(domain)
+        if not isinstance(outcome, Accepted)
+    }
+    assert phrases <= set(INPUT_CHECKS), sorted(phrases - set(INPUT_CHECKS))
 
 
 def _states_scan_condition(node: ast.AST) -> bool:
