@@ -264,6 +264,8 @@ def _check_valency(m: int, mode: str | None = None) -> None:
 
 
 def _check_workers(workers: int) -> None:
+    # the bound only: verify_theorems' int test covers workers with n_max
+    # and m_max, and argparse gives the CLI an int
     if workers < 1:
         raise DomainError("workers must be at least 1")
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Container, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
@@ -158,14 +158,14 @@ def _mapped_into(
     multipliers: Iterable[tuple[tuple[int, ...], ...]],
     layers: list[tuple[list[int], list[tuple[int, int, int]], int]],
     n: int,
-    inside: Container[int],
+    inside: bytes | bytearray,
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], list[int]]]:
     """The one per-multiplier loop: each multiplier's rows, with its image
     of the members of the ``_layers`` given, one unit per layer and one
     multiplication per member, for every multiplier that maps each member
-    inside, a container of residues.  A multiplier is dropped at its first
-    image y not in ``inside``, and its images are computed only when the
-    reader reaches it.
+    inside, where ``inside`` is a 0/1 mask over Z_n.  A multiplier is
+    dropped at its first image y with inside[y] = 0, and its images are
+    computed only when the reader reaches it.
     """
     for rows in multipliers:
         kept = []
@@ -175,7 +175,7 @@ def _mapped_into(
                 u += rows[i][j] * e
             for x in xs:
                 y = u * x % n
-                if y not in inside:
+                if not inside[y]:
                     break
                 kept.append(y)
             else:
@@ -261,7 +261,7 @@ class SolvingSet:
         return (
             (rows, tuple(sorted(image)))
             for rows, image in _mapped_into(
-                product(*self._rows), _layers(s, self.key), n, range(n)
+                product(*self._rows), _layers(s, self.key), n, b"\1" * n
             )
         )
 
@@ -301,7 +301,10 @@ class SolvingSet:
         _check_pair(s, t)
         layers = _layers(s, self.key)
         n = self.key.factorization.n
-        for rows, image in _mapped_into(product(*self._rows), layers, n, set(t.members)):
+        inside = bytearray(n)
+        for y in t.members:
+            inside[y] = 1
+        for rows, image in _mapped_into(product(*self._rows), layers, n, inside):
             return rows, tuple(sorted(image))
         return None
 

@@ -560,12 +560,14 @@ ARGUMENT_DOMAINS = {
 
 def _probes(domain):
     """(value, refusal phrase or Accepted) of each probe of a domain: each
-    valid value as a float, a bool, the first as a string and the least
-    invalid int; or a near-miss string and a non-string."""
+    valid value as a float, the first plus a half, a bool, the first as a
+    string and the least invalid int; or a near-miss string and a
+    non-string."""
     if isinstance(domain, StrDomain):
         return [(domain.near_miss, domain.refused), (domain.not_str, domain.refused)]
     return [
         *[(float(v), domain.not_int) for v in domain.valid],
+        (domain.valid[0] + 0.5, domain.not_int),
         (True, domain.not_int),
         (str(domain.valid[0]), domain.not_int),
         (domain.least_invalid, domain.below),
