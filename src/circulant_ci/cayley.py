@@ -7,7 +7,9 @@ individualization-refinement search, so it can serve as ground truth for the
 criterion-based engine.  Circulants are vertex-transitive, so colour
 refinement alone never splits their single colour class; the search first
 fixes vertex 0 (sound: translations are automorphisms), starts from the
-adjacency to 0 read off S, refines after every individualized choice, tries
+colours of two refinement rounds read off S (the adjacency to 0, then each
+vertex's neighbours counted per adjacency class, by one integer product per
+digraph), refines after every individualized choice, tries
 every candidate image, and arc-checks the mapping it returns.  It refuses
 (never approximates) above its cutoff.  The arcs of Cay(Z_n, S) are the
 translates (v, v + s), so the refinement reads the colours at v + s for all
@@ -22,7 +24,10 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from operator import lt
 
-from .zn import _INT, DomainError, InternalConsistencyError, _check_modulus, _checked_make, units
+from .zn import (
+    _INT, DomainError, InternalConsistencyError, _check_modulus, _check_record, _checked_make,
+    units,
+)
 
 MODES = ("digraph", "graph")
 ORACLE_CUTOFF = 12  # the largest n the oracle searches unless its caller says otherwise
@@ -40,14 +45,9 @@ def _check_cutoff(cutoff: int) -> None:
         raise DomainError("oracle_cutoff must be at least 2")
 
 
-def _check_set(s: ConnectionSet) -> None:
-    if not isinstance(s, ConnectionSet):
-        raise DomainError(f"this call takes a ConnectionSet, not {type(s).__name__}")
-
-
 def _check_pair(s: ConnectionSet, t: ConnectionSet) -> None:
-    _check_set(s)
-    _check_set(t)
+    _check_record(s, ConnectionSet)
+    _check_record(t, ConnectionSet)
     if s.n != t.n:
         raise DomainError("connection sets live over different Z_n")
     if s.mode != t.mode:
@@ -89,7 +89,7 @@ class ConnectionSet(namedtuple("ConnectionSet", "n members mode")):
 def build_cayley(s: ConnectionSet) -> ConnectionSet:
     """Cay(Z_n, S), which is S itself: the arcs (g, g + s) are read off
     the members, so the connection set is returned unchanged."""
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     return s
 
 
@@ -113,7 +113,7 @@ def orbit_members(s: ConnectionSet) -> tuple[tuple[int, ...], ...]:
     Lists the whole orbit at once, for callers, tests and the check that a
     lifted witness avoids the orbit; the CI scan lists it lazily instead.
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     return tuple(sorted(set(_unit_multiples(s.members, s.n))))
 
 
@@ -183,20 +183,95 @@ def _joint_refinement(a_shifts, b_shifts, ca, cb):
         cb = list(map(palette.__getitem__, sig_b))
 
 
-def _adjacency_colours(a: ConnectionSet, b: ConnectionSet):
-    """One refinement round from vertex 0 alone, read off S: v != 0 codes
-    2[v in -S] + [v in S], 0 codes 4, and the round's signatures order so
-    (see _signatures); None exactly where that round refutes the pair."""
-    ca, cb = [0] * a.n, [0] * a.n
-    for code, g in ((ca, a), (cb, b)):
-        for s in g.members:
-            code[-s] += 2
-            code[s] += 1
-        code[0] = 4
-    if sorted(ca) != sorted(cb):
+def _indicator(codes: tuple[int, ...]) -> bytes:
+    # a translate table: byte b -> 1 if b is one of the adjacency codes, else 0
+    return bytes(b in codes for b in range(256))
+
+
+# Per mode, the translate tables that read the second round's vectors off
+# the adjacency codes: the shift vectors -S (out-neighbours) and S (in),
+# then the classes S minus -S, -S minus S and S & -S; in graph mode S = -S
+# is the one shift vector and the one class.
+_ROUND_TWO = {
+    "digraph": (
+        tuple(map(_indicator, ((2, 3), (1, 3)))),
+        tuple(map(_indicator, ((1,), (2,), (3,)))),
+    ),
+    "graph": ((_indicator((3,)),), (_indicator((3,)),)),
+}
+
+
+def _adjacency_codes(s: ConnectionSet) -> bytearray:
+    # one refinement round from vertex 0 alone: v != 0 codes
+    # 2[v in -S] + [v in S], and 0 codes 4
+    code = bytearray(s.n)
+    for x in s.members:
+        code[-x] += 2
+        code[x] += 1
+    code[0] = 4
+    return code
+
+
+def _class_counts(code: bytearray, mode: str) -> list[int]:
+    """Each vertex's signature after the round that follows the adjacency
+    codes `code`, as one integer: per shift vector X of _ROUND_TWO (-S,
+    then S) and adjacency class A, the count |(v - X) & A| in a field of
+    c bytes, least significant first, so the out-neighbours |(v + S) & A|
+    and then the in-neighbours |(v - S) & A|; above them v's own code, in
+    one byte.  Codes 0 and 4 need no count, as v's code and |S| fix them.
+    A count is at most n - 1, and c bytes hold n - 1, so two digraphs over
+    Z_n compare.
+
+    One integer product reads every count, by Kronecker substitution: a
+    residue is a slot of w bytes, the fields and v's code, and field (X, A)
+    sits at X's offset plus A's.  The shift vectors put a 1 at X's offset of
+    slot i for i in X, and the classes, over two copies of Z_n, a 1 at A's
+    offset of slot j for j mod n in A.  Slot n + v of the product sums the
+    pairs i + j = n + v with j in (v, n + v], one per residue v - i: the
+    cyclic convolution.  No field exceeds n - 1, so no carry crosses one.
+    """
+    n = len(code)
+    shifts, classes = _ROUND_TWO[mode]
+    c = ((n - 1).bit_length() + 7) // 8
+    fields = len(shifts) * len(classes)
+    w = c * fields + 1
+    x = bytearray(w * n)
+    for d, table in enumerate(shifts):
+        x[d * len(classes) * c::w] = code.translate(table)
+    twice = code * 2
+    y = bytearray(2 * w * n)
+    for j, table in enumerate(classes):
+        y[j * c::w] = twice.translate(table)
+    product = int.from_bytes(x, "little") * int.from_bytes(y, "little")
+    raw = bytearray(product.to_bytes(3 * w * n, "little")[w * n:2 * w * n])
+    raw[c * fields::w] = code
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, w * n, w)]
+
+
+def _start_colours(a: ConnectionSet, b: ConnectionSet):
+    """The search's start: the colours after two refinement rounds from
+    vertex 0 alone, read off S, numbered through one palette for both
+    digraphs; None exactly where either round refutes the pair.
+
+    The first gives the adjacency codes: 4 at 0, 3 on the |S & -S|
+    members x with -x a member, and 1 and 2 on |S| - |S & -S| vertices
+    each, so the histograms agree exactly when |S| and the count of code 3
+    do.  The second counts the codes of each vertex's out- and
+    in-neighbours (_class_counts), and so gives the partition the joint
+    refinement would reach; only the colour numbers differ, and the search
+    reads the partition alone.
+    """
+    if len(a.members) != len(b.members):
         return None
-    palette = {c: i for i, c in enumerate(sorted(set(ca)))}
-    return [palette[c] for c in ca], [palette[c] for c in cb]
+    codes = _adjacency_codes(a), _adjacency_codes(b)
+    if codes[0].count(3) != codes[1].count(3):
+        return None
+    sig_a, sig_b = (_class_counts(code, a.mode) for code in codes)
+    ordered = sorted(sig_a)
+    if ordered != sorted(sig_b):
+        return None
+    palette = {sig: i for i, sig in enumerate(dict.fromkeys(ordered))}
+    return list(map(palette.__getitem__, sig_a)), list(map(palette.__getitem__, sig_b))
 
 
 def brute_force_isomorphism(
@@ -211,7 +286,10 @@ def brute_force_isomorphism(
     1. Vertex 0 is fixed: every translation x -> x + g is an automorphism
        of a Cayley digraph, so if any isomorphism exists, composing it
        with a translation of `b` gives one with 0 -> 0.  The search starts
-       from one refinement round from 0 alone, read off S (_adjacency_colours).
+       from two refinement rounds from 0 alone, read off S
+       (_start_colours): the adjacency to 0, then each vertex's
+       neighbours counted per adjacency class, by one integer product per
+       digraph.  A pair either round refutes builds nothing more.
     2. The joint refinement splits the colours and prunes the branch as
        soon as the colour histograms of `a` and `b` diverge.  It reads the
        arcs as rotations: the colours at v + s, for every v, are the colour
@@ -234,6 +312,9 @@ def brute_force_isomorphism(
     n = a.n
     if n > oracle_cutoff:
         raise OracleCutoffError(f"oracle cutoff exceeded (n={n} > {oracle_cutoff})")
+    start = _start_colours(a, b)
+    if start is None:
+        return None
     a_shifts, b_shifts = _shifts(a), _shifts(b)
 
     def search(ca, cb):
@@ -259,8 +340,7 @@ def brute_force_isomorphism(
                     return found
         return None
 
-    start = _adjacency_colours(a, b)
-    mapping = None if start is None else search(*start)
+    mapping = search(*start)
     # f preserves the arcs iff it is a bijection, |S| = |T| and every
     # f(v + s) - f(v) lies in T: the |S| distinct images of v's
     # out-neighbours then fill f(v) + T

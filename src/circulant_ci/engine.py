@@ -6,8 +6,8 @@ keys agree and some solving-set permutation of that key carries S onto T
 key, by one unit per gcd layer of S (multipliers states the lemma).  The
 isomorphism scan drops a multiplier at the first member of S it maps
 outside T; each multiplier is a bijection, so
-for |S| = |T| the first one kept is the witness, and sets of different
-sizes are settled before any scan.  S is CI iff every image is a unit
+for |S| = |T| the first one kept is the witness, and sets whose gcd layers
+differ in size are settled before any scan.  S is CI iff every image is a unit
 multiple of S; the CI scan maps S only under the multipliers whose layer
 units no single unit matches (the corollary in multipliers), and lists the
 orbit of S as far as it needs, by the multiples uS in ascending u.  The sweeps
@@ -40,11 +40,13 @@ from collections.abc import Iterable, Iterator
 from itertools import combinations, groupby, product, repeat
 
 from .cayley import (
-    ConnectionSet, _check_mode, _check_pair, _check_set, _unit_multiples, orbit_members
+    ConnectionSet, _check_mode, _check_pair, _unit_multiples, orbit_members
 )
 from .keys import Key, key_of_set, zero_key
 from .multipliers import GenuineMultiplier, solving_set
-from .zn import _INT, DomainError, InternalConsistencyError, _check_modulus, factorize
+from .zn import (
+    _INT, DomainError, InternalConsistencyError, _check_modulus, _check_record, factorize
+)
 
 
 class IsoVerdict(
@@ -100,14 +102,17 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
 
     Different keys settle it negatively at once; equal keys reduce the
     question to scanning the solving set for a permutation with S^f = T.
-    Sets of different sizes are "exhausted" with no scan.  Otherwise the
-    scan drops a multiplier at the first member of S whose image falls
-    outside T, and the first multiplier that keeps every member inside T
-    maps S onto T, since it is a bijection and |S| = |T|: that is the
-    witness, the first hit in enumeration order.  Its full sorted image is
-    compared with T once, and a difference raises InternalConsistencyError.
-    The empty set has no key, and is isomorphic to itself only, by the
-    identity.
+    Sets whose sorted gcd(x, n) differ, and so sets of different sizes,
+    are "exhausted" with no scan: every multiplier keeps each gcd layer
+    (the corollary in multipliers).  Otherwise the scan drops a multiplier
+    at the first member of S whose image falls outside T, and the first
+    multiplier that keeps every member inside T maps S onto T, since it is
+    a bijection and |S| = |T|: that is the witness, the first hit in
+    enumeration order.  The scan runs under the key of S itself, so it
+    repeats neither the pair check nor the union-of-classes test.  The
+    witness's full sorted image is compared with T once, and a difference
+    raises InternalConsistencyError.  The empty set has no key, and is
+    isomorphic to itself only, by the identity.
     """
     _check_pair(s, t)
     if not (s.members and t.members):
@@ -118,10 +123,14 @@ def muzychuk_isomorphic(s: ConnectionSet, t: ConnectionSet) -> IsoVerdict:
     ks = key_of_set(s)
     if ks != key_of_set(t):
         return IsoVerdict(False, "key-mismatch")
-    # the scan tests S^f inside T, which is S^f = T only when |S| = |T|
-    if len(s.members) != len(t.members):
+    # every multiplier keeps each gcd layer's size (multipliers' corollary),
+    # and the scan tests S^f inside T, which is S^f = T only when |S| = |T|
+    n = s.n
+    if sorted(map(math.gcd, s.members, repeat(n))) != sorted(
+        map(math.gcd, t.members, repeat(n))
+    ):
         return IsoVerdict(False, "exhausted")
-    found = solving_set(ks).first_into(s, t)
+    found = solving_set(ks)._first_into(s, t, own=True)
     if found is None:
         return IsoVerdict(False, "exhausted")
     rows, image = found
@@ -137,7 +146,7 @@ def isomorphism_class(s: ConnectionSet) -> tuple[ConnectionSet, ...]:
     among connection sets.  Every image is checked to carry the same key.
     The empty set is alone in its class.
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     if not s.members:
         return (s,)
     k = key_of_set(s)
@@ -161,7 +170,7 @@ def is_ci(s: ConnectionSet) -> CiVerdict:
     The witness, when one exists, is the first image outside the orbit in
     enumeration order, which makes reports reproducible.
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     if not s.members:
         return CiVerdict(True)
     return _is_ci(s, key_of_set(s))
@@ -189,7 +198,7 @@ def is_ci_reduced(s: ConnectionSet) -> CiVerdict:
     multiplying, and the lift is checked to keep the key and avoid the
     orbit.
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     if not s.members:
         return CiVerdict(True)
     return _is_ci_reduced(s, key_of_set(s))
@@ -233,7 +242,7 @@ def decide_ci(s: ConnectionSet) -> CiVerdict:
     order |S|, and 0 not in S keeps it off the subgroup: a single coset
     avoiding 0, which is CI.
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     if not s.members:
         return CiVerdict(True)
     k = key_of_set(s)

@@ -42,9 +42,10 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 
-from .cayley import ConnectionSet, _check_set
+from .cayley import ConnectionSet
 from .zn import (
-    _INT, DomainError, Factorization, InternalConsistencyError, _checked_make, factorize
+    _INT, DomainError, Factorization, InternalConsistencyError, _check_record, _checked_make,
+    factorize,
 )
 
 
@@ -76,8 +77,7 @@ class Key(namedtuple("Key", "factorization rows")):
     _unchecked = classmethod(tuple.__new__)  # for (f, rows) valid by construction
 
     def __new__(cls, factorization: Factorization, rows: tuple[tuple[int, ...], ...]):
-        if not isinstance(factorization, Factorization):
-            raise DomainError(f"a key takes a Factorization, not {type(factorization).__name__}")
+        _check_record(factorization, Factorization)
         parts = factorization.parts
         _check_rows(rows, parts, "key")
         for (_, t), row in zip(parts, rows):
@@ -91,6 +91,7 @@ class Key(namedtuple("Key", "factorization rows")):
 
 def zero_key(f: Factorization) -> Key:
     """The all-zero key, bottom of the lattice."""
+    _check_record(f, Factorization)
     return Key(f, tuple((0,) * t for _, t in f.parts))
 
 
@@ -118,7 +119,8 @@ def _class_picks(order: int, k: Key) -> tuple[int, list[tuple[int, int]]]:
     return size, picks
 
 
-@lru_cache(maxsize=KEY_CACHE_SIZE)
+# typed, so a bare tuple equal to a cached Key misses the cache and is refused
+@lru_cache(maxsize=KEY_CACHE_SIZE, typed=True)
 def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
     """The partition of Z_n induced by a key, as sorted classes ordered by
     least element.
@@ -127,6 +129,7 @@ def key_partition(k: Key) -> tuple[tuple[int, ...], ...]:
     n / |H|; its members share x's order, so x is its least member exactly
     when x < n / |H|.  This is the CRT product of the per-prime classes.
     """
+    _check_record(k, Key)
     n = k.factorization.n
     classes = []
     for x in range(n):
@@ -162,7 +165,7 @@ def key_of_set(s: ConnectionSet) -> Key:
     non-zero, x + n / p^k lies in S for each x of the class, which is
     exactly "the key partition refines {S, complement}".
     """
-    _check_set(s)
+    _check_record(s, ConnectionSet)
     members, n = s.members, s.n
     if not members:
         raise DomainError("key of the empty set is undefined")

@@ -38,6 +38,12 @@ for each pair of layers, which holds when that gcd is 1 or 2 (units of an
 even modulus are odd).  So the CI scan, ``SolvingSet._non_unit_images``,
 maps S only under the multipliers that break a pair, and none for S in one
 gcd layer.
+
+Corollary: a multiplier keeps every gcd layer.  It maps x + H_d onto
+u_d x + H_d, whose members share x's order, so f(S & D_d) = f(S) & D_d.
+So f(S) = T needs S and T to have equally many members in each layer, the
+same sorted gcd(x, n), and ``muzychuk_isomorphic`` refutes a pair whose
+lists differ before any scan.
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import mul
 
-from .cayley import ConnectionSet, _check_pair, _check_set
+from .cayley import ConnectionSet, _check_pair
 from .keys import Key, _check_rows, _class_picks
-from .zn import DomainError, Factorization, _checked_make
+from .zn import DomainError, Factorization, _check_record, _checked_make
 
 
 class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
@@ -69,8 +75,7 @@ class GenuineMultiplier(namedtuple("GenuineMultiplier", "rows key")):
         # imported here, so the CLI's cold start does not load it
         from bisect import bisect_left
 
-        if not isinstance(key, Key):
-            raise DomainError(f"a multiplier takes a Key, not {type(key).__name__}")
+        _check_record(key, Key)
         parts = key.factorization.parts
         _check_rows(rows, parts, "multiplier")
         for (p, t), row, krow in zip(parts, rows, key.rows):
@@ -111,7 +116,7 @@ def _digit_terms(members: Sequence[int], f: Factorization) -> list[tuple[int, ..
 
 
 def _layers(
-    s: ConnectionSet, k: Key
+    s: ConnectionSet, k: Key, own: bool = False
 ) -> list[tuple[list[int], list[tuple[int, int, int]], int]]:
     """The one statement of the class action: the members grouped by their
     gcd d with n, each layer with one pick (i, a - 1, e) per prime p^t at
@@ -125,12 +130,15 @@ def _layers(
     union of classes of k: a layer's class subgroup H is cyclic, so
     x + n / |H| must be a member for each member x of a layer with |H| > 1.
     With no such layer, as under the zero key, no member set is built.
+    With `own` set, k is key_of_set(S), of which S is a union of classes by
+    definition, and the caller has checked S: nothing is refused.
     """
-    _check_set(s)
     f = k.factorization
     n = f.n
-    if s.n != n:
-        raise DomainError("connection set is not over the key's Z_n")
+    if not own:
+        _check_record(s, ConnectionSet)
+        if s.n != n:
+            raise DomainError("connection set is not over the key's Z_n")
     gcd = math.gcd
     by_gcd: dict[int, list[int]] = {}
     for x in s.members:
@@ -145,7 +153,7 @@ def _layers(
         # the members of the layer have order n / d
         size, picks = _class_picks(n // d, k)
         layers.append((xs, [(i, j, idempotents[i]) for i, j in picks], n // (d * size)))
-        if size > 1:
+        if size > 1 and not own:
             steps.append((xs, n // size))
     if steps:
         inside = set(s.members)
@@ -188,6 +196,7 @@ def _mapped_into(
 def as_permutation(m: GenuineMultiplier) -> tuple[int, ...]:
     """The full image table of the induced permutation of Z_n, element by
     element from the ``_digit_terms`` of every residue."""
+    _check_record(m, GenuineMultiplier)
     f = m.key.factorization
     entries = sum(m.rows, ())
     terms = _digit_terms(range(f.n), f)
@@ -233,6 +242,7 @@ class SolvingSet:
     """
 
     def __init__(self, key: Key):
+        _check_record(key, Key)
         self.key = key
         f = key.factorization
         self._rows = tuple(
@@ -299,7 +309,14 @@ class SolvingSet:
         the caller compares the returned image with T to confirm it.
         """
         _check_pair(s, t)
-        layers = _layers(s, self.key)
+        return self._first_into(s, t)
+
+    def _first_into(
+        self, s: ConnectionSet, t: ConnectionSet, own: bool = False
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+        # first_into past _check_pair; with `own` set, as muzychuk_isomorphic
+        # calls it, the key is key_of_set(S) and _layers refuses nothing
+        layers = _layers(s, self.key, own)
         n = self.key.factorization.n
         inside = bytearray(n)
         for y in t.members:

@@ -65,6 +65,12 @@ class Factorization(namedtuple("Factorization", "n parts")):
         return tuple(out)
 
 
+def _check_record(x: object, cls: type) -> None:
+    # the one refusal of a public argument that is not the record it names
+    if not isinstance(x, cls):
+        raise DomainError(f"this call takes a {cls.__name__}, not {type(x).__name__}")
+
+
 # Moduli whose factorization and units are kept at once.
 MODULUS_CACHE_SIZE = 256
 

@@ -18,7 +18,8 @@ images of a set under a whole solving set, with CRT idempotents found by
 search, which the CI and isomorphism scan references read in place of the
 library's layer units, the oracle's search
 over neighbour lists read one index at a time, with its signatures of
-sorted neighbour colour tuples, the backtracking
+sorted neighbour colour tuples, the counts of the oracle's start per
+adjacency class over those lists, the backtracking
 isomorphism search, the orbit filter with one table of x -> ux per unit,
 the Burnside count of the unit orbits, the enumeration of connection sets
 by combinations of residues or of pairs {x, -x}, the sweep's old
@@ -831,8 +832,9 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
     and the verdict of the backtracking reference on every same-size pair
     of orbit representatives with n <= n_max (both modes), its refinement
     the same stable colours from vertex 0 individualized, its starting
-    colours (cayley._adjacency_colours) those of one reference round from
-    there, or None exactly where that round's histograms differ, and it
+    colours (cayley._start_colours) the partition of two reference rounds
+    from there, or None exactly where the histograms of either round
+    differ, and it
     finds the non-unit isomorphisms of the witness families up to the
     oracle cutoff (each family against its is_ci witness, both ways round)
     plus Z_8 {1,2,5} ~ {1,5,6}; every mapping brute_force_isomorphism or the
@@ -855,15 +857,19 @@ def check_oracle_against_backtracking(n_max: int = 10) -> int:
         assert cayley._joint_refinement(
             cayley._shifts(s), cayley._shifts(t), root, root
         ) == _joint_refinement(*_out_in(s), *_out_in(t), root, root), case
-        # the search's start: one round from the root, read off S
-        sig_a = _signatures(*_out_in(s), root)
-        sig_b = _signatures(*_out_in(t), root)
-        start = cayley._adjacency_colours(s, t)
-        if Counter(sig_a) != Counter(sig_b):
-            assert start is None, case
+        # the search's start: two rounds from the root, read off S, whose
+        # colours are numbered otherwise, so only the partitions compare
+        start = cayley._start_colours(s, t)
+        colours = root + root
+        for _ in range(2):
+            sig_a = _signatures(*_out_in(s), colours[:s.n])
+            sig_b = _signatures(*_out_in(t), colours[s.n:])
+            if Counter(sig_a) != Counter(sig_b):
+                assert start is None, case
+                break
+            colours = _ranks(sig_a + sig_b)
         else:
-            ranks = _ranks(sig_a + sig_b)
-            assert start == (ranks[:s.n], ranks[s.n:]), case
+            assert start is not None and _same_partition(start[0] + start[1], colours), case
         assert (fast is None) == (slow is None), case
         assert fast is not None or not known_isomorphic, case
         a_out, b_out = out_neighbours(s), out_neighbours(t)
@@ -879,6 +885,68 @@ def _ranks(signatures) -> list[int]:
     # each vertex's place among the distinct signatures, ascending
     place = {s: i for i, s in enumerate(sorted(set(signatures)))}
     return [place[s] for s in signatures]
+
+
+def _same_partition(x, y) -> bool:
+    # two colourings of one vertex list make the same partition: the pairs
+    # of colours (x_v, y_v) match the colours of x and of y one to one
+    return len(set(zip(x, y))) == len(set(x)) == len(set(y))
+
+
+def class_counts_reference(s: ConnectionSet) -> list[int]:
+    """cayley._class_counts of the adjacency codes of S, from neighbour
+    lists: per vertex v, the codes 2[v in -S] + [v in S] (4 at 0) counted
+    over v's out-neighbours and then its in-neighbours, per code 1, 2 and 3
+    (code 3 alone in graph mode, over the out-neighbours alone), each count
+    in c bytes, c the least number that holds n - 1, and v's own code in
+    the byte above them."""
+    n = s.n
+    members = set(s.members)
+    code = [2 * ((-v) % n in members) + (v in members) for v in range(n)]
+    code[0] = 4
+    out, inn = _out_in(s)
+    lists, classes = ((out,), (3,)) if s.mode == "graph" else ((out, inn), (1, 2, 3))
+    c = ((n - 1).bit_length() + 7) // 8
+    signatures = []
+    for v in range(n):
+        fields = [sum(code[w] == k for w in nbrs[v]) for nbrs in lists for k in classes]
+        assert max(fields) < 256**c, (s, v, fields)
+        signatures.append(
+            sum(count << (8 * c * i) for i, count in enumerate(fields))
+            + (code[v] << (8 * c * len(fields)))
+        )
+    return signatures
+
+
+def check_class_counts(n_max: int = 16, large: tuple[int, ...] = (300,)) -> int:
+    """cayley._class_counts, which reads every count by one integer product,
+    against class_counts_reference on, for every n <= n_max and both modes,
+    the empty set, Z_n minus {0} and seeded random sets; and for each n in
+    `large`, two sets of at least n - 41 members, where from n = 298 on a
+    count no longer fits in one byte.  Returns the number of sets compared."""
+    rng = random.Random(SEED)
+    cases = []
+    for n in range(2, n_max + 1):
+        for mode in MODES:
+            cases += [ConnectionSet(n, (), mode), ConnectionSet(n, tuple(range(1, n)), mode)]
+            for _ in range(8):
+                cases += _random_pair(rng, n, mode)
+    for n in large:
+        for mode in MODES:
+            # Z_n minus {0}, and minus 20 seeded members more (with their
+            # negatives in graph mode): at least n - 41 members
+            whole = tuple(range(1, n))
+            dropped = set(rng.sample(whole, 20))
+            if mode == "graph":
+                dropped |= {n - x for x in dropped}
+            cases += [
+                ConnectionSet(n, whole, mode),
+                ConnectionSet(n, tuple(x for x in whole if x not in dropped), mode),
+            ]
+    for s in cases:
+        fast = cayley._class_counts(cayley._adjacency_codes(s), s.mode)
+        assert fast == class_counts_reference(s), (s.n, s.mode, s.members)
+    return len(cases)
 
 
 def _random_pair(rng: random.Random, n: int, mode: str) -> tuple[ConnectionSet, ...]:
@@ -1235,8 +1303,10 @@ def check_iso_scan_against_reference(n_max: int = 10) -> int:
     representative and T in isomorphism_class(S); then every pair of the
     seeded coset unions of one modulus up to n = 256, and each of them
     against its images under an evenly spread sample of its solving set.
-    Both sides must meet exhausted verdicts and witnesses that act as no
-    unit."""
+    Both sides must meet witnesses that act as no unit, and exhausted
+    verdicts of both kinds: pairs whose gcd layers differ in size, which
+    muzychuk_isomorphic refutes before any scan, and pairs with equal layer
+    sizes that exhaust its scan."""
     cases = []
     for n in range(2, n_max + 1):
         for mode in MODES:
@@ -1256,17 +1326,26 @@ def check_iso_scan_against_reference(n_max: int = 10) -> int:
             step = -(-len(ss) // ISO_IMAGES_PER_SET)
             images = islice(ss.images(s), 0, None, step)
             cases += [(s, ConnectionSet(n, image)) for _, image in images]
-    exhausted, non_unit = 0, False
+    by_layers, by_scan, non_unit = 0, 0, False
     for s, t in cases:
+        case = (s.n, s.mode, s.members, t.members)
         verdict = muzychuk_isomorphic(s, t)
-        assert verdict == iso_scan_reference(s, t), (s.n, s.mode, s.members, t.members)
+        assert verdict == iso_scan_reference(s, t), case
         if verdict.reason == "exhausted":
-            exhausted += 1
-        # one witness that acts as no unit is enough, and as_permutation
-        # costs O(n) per witness
-        if verdict.isomorphic and not non_unit:
-            non_unit = not _acts_as_unit(verdict.witness_multiplier)
-    assert exhausted > 0, "no exhausted verdict was compared"
+            if Counter(math.gcd(x, s.n) for x in s.members) != Counter(
+                math.gcd(x, t.n) for x in t.members
+            ):
+                by_layers += 1
+            else:
+                by_scan += 1
+        if verdict.isomorphic:
+            witness = verdict.witness_multiplier
+            # one witness that acts as no unit is enough, and as_permutation
+            # costs O(n) per witness
+            if not non_unit:
+                non_unit = not _acts_as_unit(witness)
+    assert by_layers > 0, "no pair refuted by its layer sizes was compared"
+    assert by_scan > 0, "no pair with equal layer sizes exhausted the scan"
     assert non_unit, "no witness that acts as no unit was compared"
     return len(cases)
 
@@ -1405,7 +1484,8 @@ CI_CHECKS = (
     # coset unions: 119 300 sets, every multiplier's image by digit terms,
     # in 25-28 s (three runs)
     ("check_unit_like_multipliers", {"n_max": 20}, 120),
-    # 220 008 pairs, the reference's images by digit terms, in about 25 s
+    # 220 008 pairs, the reference's images by digit terms, in 13–20 s
+    # (six runs on a drifting host; 11–19 s at the parent alongside)
     ("check_iso_scan_against_reference", {"n_max": 12}, 120),
     # every m for n <= 20 in both modes, then graph every m and digraph
     # m <= 5 up to n = 30: 675 cells in about 30 s
@@ -1417,11 +1497,15 @@ CI_CHECKS = (
     # every n <= 400, at most 1 500 ordered pairs of keys per n: 16 135
     # pairs in about 8 s
     ("check_monotonicity", {"n_max": 400}, 120),
-    # up to the oracle cutoff: 35 182 pairs in about 55 s
+    # up to the oracle cutoff: 35 182 pairs in 46–68 s (four runs; 47–72 s
+    # at the parent alongside), most of it the references' searches
     ("check_oracle_against_backtracking", {"n_max": 12}, 300),
     # every n <= 40 in both modes: 4 914 colourings in a few seconds
     ("check_signature_order", {"n_max": 40}, 120),
-    # up to the oracle cutoff: 35 176 pairs in 2.6 s
+    # every n <= 40 in both modes, then n = 257, 300 and 1 000, where the
+    # counts take two bytes: 1 416 sets in about 3 s
+    ("check_class_counts", {"n_max": 40, "large": (257, 300, 1000)}, 60),
+    # up to the oracle cutoff: 35 176 pairs in 1.2–1.4 s
     ("check_criterion_against_oracle", {"n_max": 12}, 15),
     # 1 048 699 subsets in 32.9 s
     ("check_key_against_lattice", {"n_max": 20}, 120),

@@ -9,9 +9,9 @@ from circulant_ci import cayley
 from circulant_ci.cayley import (
     ConnectionSet,
     OracleCutoffError,
-    _adjacency_colours,
     _shifts,
     _signatures,
+    _start_colours,
     brute_force_isomorphic,
     brute_force_isomorphism,
     build_cayley,
@@ -144,21 +144,29 @@ def test_oracle_examples():
 
 
 def _start(n, s, t, mode="digraph"):
-    return _adjacency_colours(
+    return _start_colours(
         build_cayley(ConnectionSet(n, s, mode)), build_cayley(ConnectionSet(n, t, mode))
     )
 
 
 def test_oracle_starts_from_the_adjacency_to_zero():
-    # codes 4 at 0, 2 on -S, 1 on S, 3 on both; numbered 0, 1, 2, 3 for 0, 1, 2, 4
+    # the first round codes 4 at 0, 2 on -S, 1 on S, 3 on both: [4, 1, 1, 2,
+    # 0, 1, 2, 2] for S = {1, 2, 5} over Z_8, where S & -S is empty.  The
+    # second counts each vertex's out- and in-neighbours per code: 2 has the
+    # out-neighbours 3, 4, 7, coded 2, 0, 2, and 1 and 5 have 2, 3, 6 and
+    # 6, 7, 2, coded 1, 2, 2, so code 1 splits into {2} and {1, 5}; code 2
+    # into {6} and {3, 7} alike.  Numbered by code, then the counts: 4, 2,
+    # {1, 5}, 6, {3, 7}, 0
     assert _start(8, (1, 2, 5), (1, 5, 6)) == (
-        [3, 1, 1, 2, 0, 1, 2, 2],
-        [3, 1, 2, 2, 0, 1, 1, 2],
+        [5, 2, 1, 4, 0, 2, 3, 4],
+        [5, 2, 3, 4, 0, 2, 1, 4],
     )
-    # graph mode: S = -S, so every neighbour of 0 codes 3
+    # graph mode: S = -S codes 3; the second round counts |(v + S) & S|,
+    # 0 on S = {1, 4, 7}, and splits the rest into {2, 6}, which count 1,
+    # and {3, 5}, which count 2
     assert _start(8, (1, 4, 7), (3, 4, 5), "graph") == (
-        [2, 1, 0, 0, 1, 0, 0, 1],
-        [2, 0, 0, 1, 1, 1, 0, 0],
+        [3, 2, 0, 1, 2, 1, 0, 2],
+        [3, 1, 0, 2, 2, 2, 0, 1],
     )
     # no vertex told apart from another but 0: the root colouring
     for n in range(2, 13):
@@ -169,17 +177,37 @@ def test_oracle_starts_from_the_adjacency_to_zero():
 
 
 def test_oracle_refutes_before_any_round(monkeypatch):
-    # |S & -S| = 2 against |T & -T| = 0: the codes 3, 3 against 1, 1, 2, 2
+    # the first round: |S & -S| = 2 against |T & -T| = 0, the codes 3, 3
+    # against 1, 1, 2, 2.  The second: the 6-cycle {1} against two
+    # triangles {2} over Z_6, with one adjacency to 0, but the in-neighbour
+    # of 0's in-neighbour codes 0 in the cycle and 1 in the triangles
     assert _start(7, (1, 6), (1, 2)) is None
+    assert _start(6, (1,), (2,)) is None
 
     def no_round(*args):
         raise AssertionError("a refinement round ran")
 
+    def no_shifts(*args):
+        raise AssertionError("the shifts were built")
+
     monkeypatch.setattr("circulant_ci.cayley._joint_refinement", no_round)
-    a = build_cayley(ConnectionSet(7, (1, 6)))
-    assert brute_force_isomorphism(a, build_cayley(ConnectionSet(7, (1, 2)))) is None
-    with pytest.raises(AssertionError, match="round ran"):
-        brute_force_isomorphism(a, a)
+    monkeypatch.setattr("circulant_ci.cayley._shifts", no_shifts)
+    pairs = [
+        (build_cayley(ConnectionSet(n, s)), build_cayley(ConnectionSet(n, t)))
+        for n, s, t in ((7, (1, 6), (1, 2)), (6, (1,), (2,)))
+    ]
+    for a, b in pairs:
+        assert brute_force_isomorphism(a, b) is None
+    # a pair the start does not refute builds the shifts, and then reaches
+    # a round
+    for a, _ in pairs:
+        with pytest.raises(AssertionError, match="shifts were built"):
+            brute_force_isomorphism(a, a)
+    monkeypatch.undo()
+    monkeypatch.setattr("circulant_ci.cayley._joint_refinement", no_round)
+    for a, _ in pairs:
+        with pytest.raises(AssertionError, match="round ran"):
+            brute_force_isomorphism(a, a)
 
 
 def test_oracle_tries_the_next_candidate(monkeypatch):

@@ -68,10 +68,11 @@ def test_muzychuk_domain_errors():
 
 
 def test_muzychuk_checks_that_the_hit_maps_onto_t(monkeypatch):
-    # a scan hit whose image is not T must not pass as the witness
+    # a scan hit whose image is not T must not pass as the witness; S and T
+    # have one key and equal gcd layers, so the scan is reached
     monkeypatch.setattr(
-        "circulant_ci.multipliers.SolvingSet.first_into",
-        lambda self, s, t: (((1, 1, 3),), (2, 3)),
+        "circulant_ci.multipliers.SolvingSet._first_into",
+        lambda self, s, t, own=False: (((1, 1, 3),), (2, 3)),
     )
     with pytest.raises(InternalConsistencyError, match="maps S into T, not onto T"):
         muzychuk_isomorphic(_cs(8, (1, 2, 5)), _cs(8, (2, 3, 7)))

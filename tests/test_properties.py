@@ -19,6 +19,7 @@ TIER1_CHECKS = (
     "check_genuine_rows_against_reference",
     "check_oracle_against_backtracking",
     "check_signature_order",
+    "check_class_counts",
     "check_key_enumeration",
     "check_orbit_filter",
     "check_ci_scan_against_reference",

@@ -151,7 +151,7 @@ WRONG_TYPES = {
     "key-float-entry": (lambda: Key(factorize(4), ((0, 0.5),)), "^key entries must be ints$"),
     "key-bool-entry": (lambda: Key(factorize(4), ((0, True),)), "^key entries must be ints$"),
     "key-tuple-factorization": (
-        lambda: Key((4, ((2, 2),)), ((0, 1),)), "^a key takes a Factorization, not tuple$"
+        lambda: Key((4, ((2, 2),)), ((0, 1),)), "^this call takes a Factorization, not tuple$"
     ),
     "multiplier-float-entry": (
         lambda: GenuineMultiplier(((1.0, 1, 1),), K), "^multiplier entries must be ints$"
@@ -160,7 +160,7 @@ WRONG_TYPES = {
         lambda: GenuineMultiplier(((True, 1, 1),), K), "^multiplier entries must be ints$"
     ),
     "multiplier-tuple-key": (
-        lambda: GenuineMultiplier(((1, 1, 1),), tuple(K)), "^a multiplier takes a Key, not tuple$"
+        lambda: GenuineMultiplier(((1, 1, 1),), tuple(K)), "^this call takes a Key, not tuple$"
     ),
 }
 

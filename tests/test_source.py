@@ -305,7 +305,7 @@ def test_multiplier_action_stated_once():
         "_layers": {
             ("multipliers", "SolvingSet.images"),
             ("multipliers", "SolvingSet._non_unit_images"),
-            ("multipliers", "SolvingSet.first_into"),
+            ("multipliers", "SolvingSet._first_into"),
         },
     }, users
 
@@ -358,12 +358,10 @@ INPUT_CHECKS = {
     "union of the key's classes": ("multipliers", "_layers"),
     "not over the key's Z_n": ("multipliers", "_layers"),
     "modulus must be an int": ("zn", "_check_modulus"),
-    "takes a ConnectionSet, not": ("cayley", "_check_set"),
+    "this call takes a": ("zn", "_check_record"),
     "is not the factorization of": ("zn", "Factorization.__new__"),
     "connection set members must be ints": ("cayley", "ConnectionSet.__new__"),
     "entries must be ints": ("keys", "_check_rows"),
-    "takes a Factorization, not": ("keys", "Key.__new__"),
-    "takes a Key, not": ("multipliers", "GenuineMultiplier.__new__"),
     "valency must be an int": ("engine", "_check_valency"),
     "predicate stated only for m ≥": ("engine", "_check_valency"),
     "valency must lie in 1..n-1": ("engine", "_check_nm"),
@@ -418,6 +416,24 @@ def test_factorization_stated_once():
         if isinstance(node, ast.FunctionDef) and node.name == "is_prime"
     ]
     assert not defined, defined
+
+
+def test_int_byte_conversions_name_their_byte_order():
+    # Python 3.10, the requires-python floor, gives int.to_bytes and
+    # int.from_bytes no default byte order, and 3.11 does, so a call that
+    # omits it would fail on 3.10 alone
+    calls = [
+        (f"{path.name}:{node.lineno}", len(node.args) >= 2 or any(
+            keyword.arg == "byteorder" for keyword in node.keywords
+        ))
+        for path, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("to_bytes", "from_bytes")
+    ]
+    assert calls
+    assert all(named for _, named in calls), [at for at, named in calls if not named]
 
 
 def _type_tests(tree: ast.AST):
@@ -490,34 +506,6 @@ def test_public_callables_take_connection_sets():
     assert not found, found
 
 
-def test_bare_tuples_refused_by_one_check():
-    # every public callable annotated to take a ConnectionSet refuses a bare
-    # member tuple in its place with the DomainError of cayley._check_set,
-    # as key_of_set always did, not with the AttributeError of a field
-    # read; a scan refuses at its call, before the first image is read
-    s = ConnectionSet(8, (1, 2, 5))
-    ss = circulant_ci.solving_set(circulant_ci.key_of_set(s))
-    called = []
-    for qualified, fn in _public_callables():
-        params = inspect.signature(fn).parameters
-        taken = [p for p, v in params.items() if v.annotation in ("ConnectionSet", ConnectionSet)]
-        for bare in taken:
-            args = {p: s.members if p == bare else s for p in taken}
-            if "self" in params:
-                args["self"] = ss
-            with pytest.raises(DomainError, match="takes a ConnectionSet, not tuple"):
-                fn(**args)
-            called.append(f"{qualified}({bare})")
-    assert sorted(called) == [
-        "SolvingSet.first_into(s)", "SolvingSet.first_into(t)", "SolvingSet.images(s)",
-        "brute_force_isomorphic(a)", "brute_force_isomorphic(b)",
-        "brute_force_isomorphism(a)", "brute_force_isomorphism(b)", "build_cayley(s)",
-        "decide_ci(s)", "is_ci(s)", "is_ci_reduced(s)", "isomorphism_class(s)",
-        "key_of_set(s)", "muzychuk_isomorphic(s)", "muzychuk_isomorphic(t)",
-        "orbit_members(s)",
-    ], called
-
-
 IntDomain = namedtuple("IntDomain", "valid not_int least_invalid below")
 StrDomain = namedtuple("StrDomain", "valid refused near_miss not_str")
 # a value outside a parameter's range that its callable takes on purpose,
@@ -572,6 +560,59 @@ def _probes(domain):
         (str(domain.valid[0]), domain.not_int),
         (domain.least_invalid, domain.below),
     ]
+
+
+# every record type a public parameter may be annotated with, each refused
+# by zn._check_record in the words "this call takes a <record>, not"; a
+# record of the package that a public parameter takes and this table does
+# not name fails test_bare_tuples_refused_by_one_check
+RECORD_TYPES = ("ConnectionSet", "Factorization", "Key", "GenuineMultiplier")
+
+
+def test_bare_tuples_refused_by_one_check():
+    # every public callable annotated to take a record refuses a bare tuple
+    # of the record's fields in its place with the DomainError of
+    # zn._check_record, not with the AttributeError of a field read; a scan
+    # refuses at its call, before the first image is read
+    s = ConnectionSet(8, (1, 2, 5))
+    k = circulant_ci.key_of_set(s)
+    ss = circulant_ci.solving_set(k)
+    valid = {
+        "ConnectionSet": s,
+        "Factorization": k.factorization,
+        "Key": k,
+        "GenuineMultiplier": next(iter(ss)),
+    }
+    records = {
+        name for name in circulant_ci.__all__
+        if isinstance(getattr(circulant_ci, name), type)
+        and issubclass(getattr(circulant_ci, name), tuple)
+    }
+    assert set(RECORD_TYPES) <= records
+    called, unnamed = [], []
+    for qualified, fn in _public_callables():
+        params = inspect.signature(fn).parameters
+        taken = {p: v.annotation for p, v in params.items() if v.annotation in records}
+        unnamed += [f"{qualified}({p})" for p, a in taken.items() if a not in RECORD_TYPES]
+        for bare, record in taken.items():
+            if record not in RECORD_TYPES:
+                continue
+            args = {p: tuple(valid[a]) if p == bare else valid[a] for p, a in taken.items()}
+            if "self" in params:
+                args["self"] = ss
+            with pytest.raises(DomainError, match=f"^this call takes a {record}, not tuple$"):
+                fn(**args)
+            called.append(f"{qualified}({bare})")
+    assert not unnamed, unnamed
+    assert sorted(called) == [
+        "SolvingSet.first_into(s)", "SolvingSet.first_into(t)", "SolvingSet.images(s)",
+        "as_permutation(m)",
+        "brute_force_isomorphic(a)", "brute_force_isomorphic(b)",
+        "brute_force_isomorphism(a)", "brute_force_isomorphism(b)", "build_cayley(s)",
+        "decide_ci(s)", "is_ci(s)", "is_ci_reduced(s)", "isomorphism_class(s)",
+        "key_of_set(s)", "key_partition(k)", "muzychuk_isomorphic(s)",
+        "muzychuk_isomorphic(t)", "orbit_members(s)", "solving_set(k)", "zero_key(f)",
+    ], called
 
 
 def test_public_arguments_refused_by_their_owners():
